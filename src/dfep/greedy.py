@@ -17,6 +17,12 @@ contribute ``cost/pairs(G)``, i.e. full price for zero progress); pass
 ``include_empty_outcomes=False`` to score only outcomes that can actually
 occur.  Both variants are deterministic: score ties break toward the smallest
 test id.
+
+Scoring runs on a :class:`~dfep.model.Kernel` built once per public call:
+buckets are bitmask intersections, class histograms are popcounts, and scores
+are integer (numerator, denominator) pairs compared by cross-multiplication,
+so the choice is exactly the one the rational scores make.  A score becomes a
+``Fraction`` only when it is returned or traced.
 """
 
 from __future__ import annotations
@@ -29,11 +35,11 @@ from dfep.model import (
     DecisionTree,
     Instance,
     Internal,
+    Kernel,
     Leaf,
     evaluate,
-    pair_count,
-    partition,
-    separated_pairs,
+    mask_objects,
+    objects_mask,
 )
 
 __all__ = [
@@ -73,6 +79,8 @@ class GreedyTrace:
     steps: list[GreedyStep] = field(default_factory=list)
 
 
+
+
 def _checked_members(objects: Iterable[int], inst: Instance) -> frozenset[int]:
     members = frozenset(objects)
     if not members:
@@ -81,6 +89,109 @@ def _checked_members(objects: Iterable[int], inst: Instance) -> frozenset[int]:
     if bad:
         raise ValueError(f"no such object(s): {sorted(bad)}")
     return members
+
+
+def _class_parts(kernel: Kernel, group: int) -> list[int]:
+    """The node's objects split by class: one nonempty mask per class present."""
+    return [part for part in (group & c for c in kernel.class_masks) if part]
+
+
+def _pairs(counts: list[int]) -> int:
+    """Separable pairs among objects with these per-class counts."""
+    size = sum(counts)
+    return (size * size - sum(c * c for c in counts)) // 2
+
+
+def _pairs_in(parts: list[int], mask: int = -1) -> int:
+    """Separable pairs among the node's objects that ``mask`` keeps."""
+    return _pairs([(mask & part).bit_count() for part in parts])
+
+
+def _score(
+    kernel: Kernel, parts: list[int], total: int, test: int, include_empty: bool
+) -> tuple[int, int] | None:
+    """Score of ``test`` on a node as ``(cost, pairs)``; None if it separates nothing.
+
+    The score is ``cost / (kernel.scale * pairs)``.  ``parts`` are the node's
+    class masks and ``total`` its separable pairs; the test is usable exactly
+    when its buckets keep fewer than ``total`` pairs between them.
+    """
+    num, den = 0, 1
+    kept = 0
+    for mask, cost in zip(kernel.outcome_masks[test], kernel.costs[test]):
+        counts = [(mask & part).bit_count() for part in parts]
+        if any(counts):
+            remaining = _pairs(counts)
+            kept += remaining
+        elif include_empty:
+            remaining = 0
+        else:
+            continue
+        if cost * den > num * (total - remaining):
+            num, den = cost, total - remaining
+    return None if kept == total else (num, den)
+
+
+def _best(
+    kernel: Kernel, group: int, parts: list[int], include_empty: bool
+) -> tuple[int, int, int]:
+    """The lowest-scoring test on a mixed node, as ``(test, cost, pairs)``.
+
+    Only a strictly lower score replaces the incumbent, so ties go to the
+    smallest test id.
+    """
+    total = _pairs_in(parts)
+    best: tuple[int, int, int] | None = None
+    for test in range(len(kernel.costs)):
+        score = _score(kernel, parts, total, test, include_empty)
+        if score is not None and (best is None or score[0] * best[2] < best[1] * score[1]):
+            best = (test, *score)
+    if best is None:
+        raise ValueError(
+            f"objects {sorted(mask_objects(group))} hold more than one class but no "
+            "test separates them: incomplete instance"
+        )
+    return best
+
+
+def _build(
+    kernel: Kernel,
+    inst: Instance,
+    group: int,
+    include_empty: bool,
+    trace: GreedyTrace | None,
+) -> DecisionTree:
+    """The greedy tree over ``group``, built in pre-order on an explicit stack."""
+    root: dict[int, DecisionTree] = {}
+    stack: list[tuple[int, dict[int, DecisionTree], int]] = [(group, root, 0)]
+    while stack:
+        group, slot, outcome = stack.pop()
+        parts = _class_parts(kernel, group)
+        if len(parts) == 1:
+            label = inst.classes[(group & -group).bit_length() - 1]
+            slot[outcome] = Leaf(class_id=label, objects=mask_objects(group))
+            continue
+        test, cost, pairs = _best(kernel, group, parts, include_empty)
+        buckets = [
+            (i, group & mask)
+            for i, mask in enumerate(kernel.outcome_masks[test], start=1)
+            if group & mask
+        ]
+        if trace is not None:
+            trace.steps.append(
+                GreedyStep(
+                    objects=mask_objects(group),
+                    test=test,
+                    ratio=Fraction(cost, kernel.scale * pairs),
+                    pairs_before=_pairs_in(parts),
+                    pairs_after=tuple(_pairs_in(parts, bucket) for _, bucket in buckets),
+                )
+            )
+        node = Internal(test=test, children={})
+        slot[outcome] = node
+        # Reversed, so that the lowest outcome is popped (and traced) first.
+        stack.extend((bucket, node.children, i) for i, bucket in reversed(buckets))
+    return root[0]
 
 
 def criterion_value(
@@ -98,19 +209,12 @@ def criterion_value(
     outcomes are charged against all of ``pairs(G)``.
     """
     members = _checked_members(objects, inst)
-    buckets = partition(members, test, inst)
-    total = pair_count(members, inst)
-    if total == 0 or separated_pairs(members, test, inst) == 0:
-        return None
-    if include_empty_outcomes:
-        outcomes: Iterable[int] = range(1, inst.num_outcomes + 1)
-    else:
-        outcomes = sorted(buckets)
-    score = Fraction(0)
-    for i in outcomes:
-        remaining = pair_count(buckets[i], inst) if i in buckets else 0
-        score = max(score, Fraction(inst.cost(test, i), total - remaining))
-    return score
+    if not 0 <= test < inst.num_tests:
+        raise ValueError(f"no such test: {test}")
+    kernel = Kernel.of(inst)
+    parts = _class_parts(kernel, objects_mask(members))
+    score = _score(kernel, parts, _pairs_in(parts), test, include_empty_outcomes)
+    return None if score is None else Fraction(score[0], kernel.scale * score[1])
 
 
 def select_test(
@@ -121,21 +225,13 @@ def select_test(
 ) -> tuple[int, Fraction]:
     """The cheapest-progress test for a mixed object set, with its score."""
     members = _checked_members(objects, inst)
-    if inst.is_homogeneous(members):
+    kernel = Kernel.of(inst)
+    group = objects_mask(members)
+    parts = _class_parts(kernel, group)
+    if len(parts) == 1:
         raise ValueError("object set holds a single class; no test is needed")
-    best: tuple[int, Fraction] | None = None
-    for t in inst.tests:
-        score = criterion_value(
-            members, t, inst, include_empty_outcomes=include_empty_outcomes
-        )
-        if score is not None and (best is None or score < best[1]):
-            best = (t, score)
-    if best is None:
-        raise ValueError(
-            f"objects {sorted(members)} hold more than one class but no test "
-            "separates them: incomplete instance"
-        )
-    return best
+    test, cost, pairs = _best(kernel, group, parts, include_empty_outcomes)
+    return test, Fraction(cost, kernel.scale * pairs)
 
 
 def divide_pairs(
@@ -147,37 +243,14 @@ def divide_pairs(
 ) -> DecisionTree:
     """Build a tree greedily over the given objects.
 
-    Each chosen split separates at least one pair, so the recursion always
+    Each chosen split separates at least one pair, so the construction always
     terminates in a valid tree.  Pass a :class:`GreedyTrace` to receive the
     per-node decisions.
     """
     members = _checked_members(objects, inst)
-
-    def build(group: frozenset[int]) -> DecisionTree:
-        if inst.is_homogeneous(group):
-            return Leaf(class_id=inst.classes[next(iter(group))], objects=group)
-        test, score = select_test(
-            group, inst, include_empty_outcomes=include_empty_outcomes
-        )
-        buckets = partition(group, test, inst)
-        if trace is not None:
-            trace.steps.append(
-                GreedyStep(
-                    objects=group,
-                    test=test,
-                    ratio=score,
-                    pairs_before=pair_count(group, inst),
-                    pairs_after=tuple(
-                        pair_count(buckets[i], inst) for i in sorted(buckets)
-                    ),
-                )
-            )
-        return Internal(
-            test=test,
-            children={i: build(buckets[i]) for i in sorted(buckets)},
-        )
-
-    return build(members)
+    return _build(
+        Kernel.of(inst), inst, objects_mask(members), include_empty_outcomes, trace
+    )
 
 
 def root_lower_bound(
@@ -196,23 +269,21 @@ def root_lower_bound(
     greedy lands close to it.
     """
     members = _checked_members(objects, inst)
-    if inst.is_homogeneous(members):
+    kernel = Kernel.of(inst)
+    group = objects_mask(members)
+    parts = _class_parts(kernel, group)
+    if len(parts) == 1:
         return Fraction(0)
-    test, _ = select_test(
-        members, inst, include_empty_outcomes=include_empty_outcomes
-    )
-    buckets = partition(members, test, inst)
-    total = pair_count(members, inst)
+    tree = _build(kernel, inst, group, include_empty_outcomes, None)
+    assert isinstance(tree, Internal)
     worst_outcome: int | None = None
     worst_height: Fraction | None = None
-    for i in sorted(buckets):
-        subtree = divide_pairs(
-            buckets[i], inst, include_empty_outcomes=include_empty_outcomes
-        )
-        height = inst.cost(test, i) + evaluate(subtree, inst).worst
+    for i in sorted(tree.children):
+        height = inst.cost(tree.test, i) + evaluate(tree.children[i], inst).worst
         if worst_height is None or height > worst_height:
             worst_height = height
             worst_outcome = i
     assert worst_outcome is not None
-    remaining = pair_count(buckets[worst_outcome], inst)
-    return Fraction(inst.cost(test, worst_outcome) * total, total - remaining)
+    total = _pairs_in(parts)
+    remaining = _pairs_in(parts, kernel.outcome_masks[tree.test][worst_outcome - 1])
+    return Fraction(inst.cost(tree.test, worst_outcome) * total, total - remaining)

@@ -251,7 +251,29 @@ def load_config(path: str) -> ExperimentConfig:
         raise ValueError(f"{path}: unknown cost mode {config.cost_mode!r}")
     if config.prior_mode not in PRIOR_MODES:
         raise ValueError(f"{path}: unknown prior mode {config.prior_mode!r}")
+    _check_feasible(config, path)
     return config
+
+
+def _check_feasible(config: ExperimentConfig, where: str) -> None:
+    """Reject a config whose draws can ask for an impossible complete instance.
+
+    The hardest draw pairs the fewest tests with the most objects; when more
+    than one class can be drawn, its objects must all be told apart.
+    """
+    outcomes, fewest_tests = config.outcomes, config.tests[0]
+    most_objects = config.objects[1]
+    if outcomes < 2 or fewest_tests < 1 or config.classes[1] < 2:
+        return  # the generator rejects the first two itself; one class needs no tests
+    # outcomes ** most_objects.bit_length() > most_objects, so capping the
+    # exponent there keeps the comparison and never builds a huge power.
+    reach = outcomes ** min(fewest_tests, most_objects.bit_length())
+    if reach < most_objects:
+        raise ValueError(
+            f"{where}: {fewest_tests} tests with {outcomes} outcomes distinguish at "
+            f"most {reach} objects, but up to {most_objects} objects of more than "
+            "one class can be drawn; raise tests or lower objects"
+        )
 
 
 def _save_replay(
@@ -300,13 +322,14 @@ def run_experiment(
 
     Raises :class:`BoundViolation` the moment any exact bound check fails;
     raises ValueError when the config asks for oracle checks on instances
-    beyond the solver's size cap.
+    beyond the solver's size cap or whose draws cannot all be complete.
     """
     if config.oracle_checks and config.objects[1] > DP_OBJECT_LIMIT:
         raise ValueError(
             f"configured object count up to {config.objects[1]} exceeds oracle cap "
             f"({DP_OBJECT_LIMIT}); disable oracle_checks to generate larger instances"
         )
+    _check_feasible(config, "config")
     rng = random.Random(config.seed)
     rows: list[ExperimentRow] = []
     for index in range(config.count):

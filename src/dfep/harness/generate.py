@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from dfep.model import Instance, validate_instance
+from dfep.model import Instance, unseparated_pairs, validate_instance
 
 __all__ = ["COST_MODES", "PRIOR_MODES", "GeneratorSpec", "generate"]
 
@@ -78,18 +78,6 @@ def _check_spec(spec: GeneratorSpec) -> None:
         )
 
 
-def _unseparated_pairs(
-    classes: list[int], outcome_rows: list[list[int]]
-) -> list[tuple[int, int]]:
-    pairs = []
-    n = len(classes)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if classes[a] != classes[b] and all(row[a] == row[b] for row in outcome_rows):
-                pairs.append((a, b))
-    return pairs
-
-
 def generate(spec: GeneratorSpec) -> Instance:
     """Draw the instance determined by the spec; always returns a valid one."""
     _check_spec(spec)
@@ -134,7 +122,7 @@ def generate(spec: GeneratorSpec) -> Instance:
     # one pass suffices.
     repairs = 0
     isolated: set[int] = set()
-    for a, _ in _unseparated_pairs(classes, outcome_rows):
+    for a, _ in unseparated_pairs(classes, outcome_rows):
         if a in isolated:
             continue
         isolated.add(a)

@@ -11,10 +11,11 @@ tests, branches follow outcomes, and each leaf holds a nonempty set of objects
 that all share one class.  This module provides the tree/instance types plus
 the handful of exact-arithmetic primitives everything else builds on:
 validation, test-induced partitions, separable-pair counting, cost evaluation,
-and tree restriction to a subset of objects.
+and tree restriction to a subset of objects.  :class:`Kernel` is the same
+instance recast as object bitmasks and integer costs, for hot loops.
 
-All arithmetic is exact (`fractions.Fraction`); nothing in this module — or in
-the packages built on it — rounds.
+All arithmetic is exact (`fractions.Fraction`, or integers scaled from it);
+nothing in this module — or in the packages built on it — rounds.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -31,15 +33,19 @@ __all__ = [
     "DecisionTree",
     "Instance",
     "Internal",
+    "Kernel",
     "Leaf",
     "as_fraction",
     "evaluate",
     "iter_leaves",
+    "mask_objects",
+    "objects_mask",
     "pair_count",
     "partition",
     "restrict_tree",
     "separated_pairs",
     "tree_objects",
+    "unseparated_pairs",
     "validate_instance",
     "validate_tree",
 ]
@@ -180,6 +186,71 @@ class Instance:
         )
 
 
+def objects_mask(objects: Iterable[int]) -> int:
+    """The bitmask of a set of object ids: object ``s`` is bit ``1 << s``."""
+    mask = 0
+    for s in objects:
+        mask |= 1 << s
+    return mask
+
+
+def mask_objects(mask: int) -> frozenset[int]:
+    """The object ids whose bits are set in ``mask``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """An instance as object bitmasks and integer costs, for exact hot loops.
+
+    * ``outcome_masks[t][i-1]`` — objects on which test ``t`` answers ``i``.
+    * ``class_masks`` — one mask per class, in ascending label order.
+    * ``costs[t][i-1]`` — ``cost(t, i) * scale``, an integer, where ``scale``
+      is the least common multiple of the cost denominators.
+
+    A bucket of a node ``G`` is then ``G & outcome_masks[t][i-1]``, its class
+    histogram comes from ``int.bit_count``, and cost ratios compare exactly by
+    integer cross-multiplication.  Build one per call with :meth:`of`; it is
+    derived from the instance alone and never cached.
+    """
+
+    outcome_masks: tuple[tuple[int, ...], ...]
+    class_masks: tuple[int, ...]
+    costs: tuple[tuple[int, ...], ...]
+    scale: int
+
+    @classmethod
+    def of(cls, inst: Instance) -> "Kernel":
+        n, k = inst.num_objects, inst.num_outcomes
+        outcome_masks = []
+        for t, row in enumerate(inst.outcome_table):
+            # An outcome outside 1..k would land in the wrong mask unnoticed.
+            if len(row) != n or not 1 <= min(row, default=1) <= max(row, default=1) <= k:
+                raise ValueError(f"outcomes of test {t} are not {n} values in 1..{k}")
+            masks = [0] * k
+            for s, outcome in enumerate(row):
+                masks[outcome - 1] |= 1 << s
+            outcome_masks.append(tuple(masks))
+        labels: dict[int, int] = {}
+        for s, label in enumerate(inst.classes):
+            labels[label] = labels.get(label, 0) | 1 << s
+        scale = lcm(*(c.denominator for row in inst.cost_table for c in row))
+        return cls(
+            outcome_masks=tuple(outcome_masks),
+            class_masks=tuple(labels[label] for label in sorted(labels)),
+            costs=tuple(
+                tuple(c.numerator * (scale // c.denominator) for c in row)
+                for row in inst.cost_table
+            ),
+            scale=scale,
+        )
+
+
 @dataclass(frozen=True)
 class Leaf:
     """Terminal node: a nonempty, single-class set of objects."""
@@ -309,13 +380,35 @@ def validate_instance(inst: Instance) -> list[str]:
                 violations.append(f"cost of test {t} on outcome {i} is {c}, not positive")
 
     # Completeness: objects of different classes must be told apart by a test.
-    for a in range(n):
-        for b in range(a + 1, n):
-            if inst.classes[a] != inst.classes[b] and all(
-                row[a] == row[b] for row in inst.outcome_table
-            ):
-                violations.append(f"completeness: objects {a} and {b} are never separated")
+    for a, b in unseparated_pairs(inst.classes, inst.outcome_table):
+        violations.append(f"completeness: objects {a} and {b} are never separated")
     return violations
+
+
+def unseparated_pairs(
+    classes: Sequence[int], outcome_rows: Sequence[Sequence[int]]
+) -> list[tuple[int, int]]:
+    """Every pair ``(a, b)``, ``a < b``, of different-class objects that no
+    test tells apart, in ascending order.
+
+    Objects are grouped by their outcome signature (one outcome per test), and
+    only objects within a mixed-class group are paired, so the cost is linear
+    in the table plus the pairs inside those groups.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    signatures = zip(*outcome_rows) if outcome_rows else [()] * len(classes)
+    for s, signature in enumerate(signatures):
+        groups.setdefault(signature, []).append(s)
+    pairs = [
+        (a, b)
+        for members in groups.values()
+        if len({classes[s] for s in members}) > 1
+        for i, a in enumerate(members)
+        for b in members[i + 1 :]
+        if classes[a] != classes[b]
+    ]
+    pairs.sort()
+    return pairs
 
 
 def partition(objects: Iterable[int], test: int, inst: Instance) -> dict[int, frozenset[int]]:
@@ -373,23 +466,30 @@ def evaluate(tree: DecisionTree, inst: Instance) -> CostReport:
     tree mentions a test or object the instance does not know.
     """
     per_object: dict[int, Fraction] = {}
-
-    def walk(node: DecisionTree, acc: Fraction) -> None:
+    # Pre-order with ascending outcomes, on an explicit stack so that depth
+    # is unbounded; each entry is (test, outcome) of the edge into ``node``.
+    stack: list[tuple[int | None, int, DecisionTree, Fraction]] = [
+        (None, 0, tree, Fraction(0))
+    ]
+    while stack:
+        test, outcome, node, acc = stack.pop()
+        if test is not None:
+            if not 1 <= outcome <= inst.num_outcomes:
+                raise ValueError(
+                    f"tree references outcome {outcome} outside 1..{inst.num_outcomes}"
+                )
+            acc += inst.cost(test, outcome)
         if isinstance(node, Leaf):
             for s in node.objects:
                 if not 0 <= s < inst.num_objects:
                     raise ValueError(f"tree references unknown object {s}")
                 per_object[s] = acc
-            return
+            continue
         _check_test(node.test, inst)
-        for outcome in sorted(node.children):
-            if not 1 <= outcome <= inst.num_outcomes:
-                raise ValueError(
-                    f"tree references outcome {outcome} outside 1..{inst.num_outcomes}"
-                )
-            walk(node.children[outcome], acc + inst.cost(node.test, outcome))
-
-    walk(tree, Fraction(0))
+        stack.extend(
+            (node.test, i, node.children[i], acc)
+            for i in sorted(node.children, reverse=True)
+        )
     worst = max(per_object.values(), default=Fraction(0))
     expected = sum((cost * inst.priors[s] for s, cost in per_object.items()), Fraction(0))
     return CostReport(worst=worst, expected=expected, per_object=per_object)

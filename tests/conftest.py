@@ -1,9 +1,15 @@
 """Shared test fixtures, independent oracles, and the CLI process launcher.
 
 The oracles here deliberately avoid the library's own formulas: pair counts
-are found by enumerating object pairs one by one, and reference costs by
-re-walking trees with a hand-rolled recursion.  Agreement between these and
-the library is then evidence, not tautology.
+are found by enumerating object pairs one by one, reference costs by
+re-walking trees with a hand-rolled recursion, and the reference greedy
+scores with ``Fraction`` over frozenset partitions instead of the library's
+bitmask kernel.  Agreement between these and the library is then evidence,
+not tautology.
+
+Property tests run under the ``dfep`` hypothesis profile registered here:
+derandomized, so every run draws the same examples, with no deadline and a
+bounded example count so the suite stays fast.
 """
 
 from __future__ import annotations
@@ -16,9 +22,25 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import dfep
-from dfep.model import DecisionTree, Instance, Internal, Leaf
+from dfep.greedy import GreedyStep, GreedyTrace
+from dfep.model import (
+    DecisionTree,
+    Instance,
+    Internal,
+    Leaf,
+    evaluate,
+    pair_count,
+    partition,
+    separated_pairs,
+)
+
+settings.register_profile(
+    "dfep", derandomize=True, deadline=None, max_examples=150, database=None
+)
+settings.load_profile("dfep")
 
 # The directory that holds the imported ``dfep`` package, made absolute once:
 # an inherited relative entry such as ``PYTHONPATH=src`` points nowhere once a
@@ -95,6 +117,90 @@ def path_costs_by_walking(tree: DecisionTree, inst: Instance) -> dict[int, Fract
 
     collect(tree)
     return out
+
+
+def reference_criterion_value(
+    members: frozenset[int], test: int, inst: Instance, include_empty: bool
+) -> Fraction | None:
+    """The greedy score as a max of Fractions over a frozenset partition."""
+    buckets = partition(members, test, inst)
+    total = pair_count(members, inst)
+    if total == 0 or separated_pairs(members, test, inst) == 0:
+        return None
+    outcomes = range(1, inst.num_outcomes + 1) if include_empty else sorted(buckets)
+    score = Fraction(0)
+    for i in outcomes:
+        remaining = pair_count(buckets[i], inst) if i in buckets else 0
+        score = max(score, Fraction(inst.cost(test, i), total - remaining))
+    return score
+
+
+def reference_select_test(
+    members: frozenset[int], inst: Instance, include_empty: bool
+) -> tuple[int, Fraction]:
+    """The lowest-scoring test, ties to the smallest id; raises like the library."""
+    if inst.is_homogeneous(members):
+        raise ValueError("object set holds a single class; no test is needed")
+    best = None
+    for t in inst.tests:
+        score = reference_criterion_value(members, t, inst, include_empty)
+        if score is not None and (best is None or score < best[1]):
+            best = (t, score)
+    if best is None:
+        raise ValueError(
+            f"objects {sorted(members)} hold more than one class but no test "
+            "separates them: incomplete instance"
+        )
+    return best
+
+
+def reference_divide_pairs(
+    members: frozenset[int],
+    inst: Instance,
+    include_empty: bool,
+    trace: GreedyTrace | None = None,
+) -> DecisionTree:
+    """The greedy tree by plain recursion, recording steps in pre-order."""
+    if inst.is_homogeneous(members):
+        return Leaf(class_id=inst.classes[min(members)], objects=members)
+    test, score = reference_select_test(members, inst, include_empty)
+    buckets = partition(members, test, inst)
+    if trace is not None:
+        trace.steps.append(
+            GreedyStep(
+                objects=members,
+                test=test,
+                ratio=score,
+                pairs_before=pair_count(members, inst),
+                pairs_after=tuple(pair_count(buckets[i], inst) for i in sorted(buckets)),
+            )
+        )
+    return Internal(
+        test=test,
+        children={
+            i: reference_divide_pairs(buckets[i], inst, include_empty, trace)
+            for i in sorted(buckets)
+        },
+    )
+
+
+def reference_root_lower_bound(
+    members: frozenset[int], inst: Instance, include_empty: bool
+) -> Fraction:
+    """The root bound from a fresh greedy build below each root bucket."""
+    if inst.is_homogeneous(members):
+        return Fraction(0)
+    test, _ = reference_select_test(members, inst, include_empty)
+    buckets = partition(members, test, inst)
+    heights = {
+        i: inst.cost(test, i)
+        + evaluate(reference_divide_pairs(buckets[i], inst, include_empty), inst).worst
+        for i in sorted(buckets)
+    }
+    worst = max(sorted(heights), key=lambda i: heights[i])
+    total = pair_count(members, inst)
+    remaining = pair_count(buckets[worst], inst)
+    return Fraction(inst.cost(test, worst) * total, total - remaining)
 
 
 def random_instance(

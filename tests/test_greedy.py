@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dfep.greedy import (
     GreedyTrace,
@@ -25,7 +28,13 @@ from dfep.model import (
     validate_tree,
 )
 from dfep.oracle import harmonic, opt_worst
-from tests.conftest import random_complete_instance
+from tests.conftest import (
+    random_complete_instance,
+    reference_criterion_value,
+    reference_divide_pairs,
+    reference_root_lower_bound,
+    reference_select_test,
+)
 
 
 def two_singleton_classes() -> Instance:
@@ -109,6 +118,17 @@ class TestSelectTest:
 
 
 class TestDividePairs:
+    def test_outcomes_outside_the_alphabet_rejected(self):
+        inst = Instance(
+            classes=(0, 1, 2),
+            num_outcomes=2,
+            outcome_table=((0, 1, 2),),
+            priors=(Fraction(1, 3),) * 3,
+            cost_table=((Fraction(1), Fraction(1)),),
+        )
+        with pytest.raises(ValueError, match="not 3 values in 1..2"):
+            divide_pairs(inst.objects, inst)
+
     def test_worked_example_tree(self):
         inst = two_singleton_classes()
         tree = divide_pairs([0, 1], inst)
@@ -268,3 +288,113 @@ class TestGuarantees:
     def test_lower_bound_zero_only_for_single_class_sets(self):
         inst = two_singleton_classes()
         assert root_lower_bound([0], inst) == 0
+
+
+@st.composite
+def greedy_cases(draw):
+    """A small instance (maybe incomplete), an object subset, the empty switch.
+
+    Costs are "p/q" strings with assorted denominators, so the kernel's
+    integer scaling over their least common multiple is exercised.
+    """
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 9))
+    num_tests = draw(st.integers(1, 6))
+    # Objects 0 and 1 differ in class, so the full set always needs a test.
+    classes = [0, 1] + draw(st.lists(st.integers(0, 3), min_size=n - 2, max_size=n - 2))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(1, k), min_size=n, max_size=n),
+            min_size=num_tests,
+            max_size=num_tests,
+        )
+    )
+    price = st.builds("{}/{}".format, st.integers(1, 12), st.integers(1, 7))
+    mode = draw(st.sampled_from(["unit", "fixed", "value"]))
+    if mode == "unit":
+        costs = None
+    elif mode == "fixed":
+        costs = draw(st.lists(price, min_size=num_tests, max_size=num_tests))
+    else:
+        costs = draw(
+            st.lists(
+                st.lists(price, min_size=k, max_size=k),
+                min_size=num_tests,
+                max_size=num_tests,
+            )
+        )
+    inst = Instance.create(classes, rows, costs=costs, num_outcomes=k)
+    members = draw(
+        st.one_of(
+            st.just(frozenset(range(n))),
+            st.frozensets(st.integers(0, n - 1), min_size=1),
+        )
+    )
+    return inst, members, draw(st.booleans())
+
+
+def result_or_error(fn, *args, **kwargs):
+    try:
+        return "ok", fn(*args, **kwargs)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+class TestKernelMatchesFractionReference:
+    @given(greedy_cases())
+    def test_scores_choices_trees_traces_and_bounds(self, case):
+        inst, members, empty = case
+        for t in inst.tests:
+            assert criterion_value(
+                members, t, inst, include_empty_outcomes=empty
+            ) == reference_criterion_value(members, t, inst, empty)
+        assert result_or_error(
+            select_test, members, inst, include_empty_outcomes=empty
+        ) == result_or_error(reference_select_test, members, inst, empty)
+        trace, expected_trace = GreedyTrace(), GreedyTrace()
+        assert result_or_error(
+            divide_pairs, members, inst, include_empty_outcomes=empty, trace=trace
+        ) == result_or_error(reference_divide_pairs, members, inst, empty, expected_trace)
+        assert trace.steps == expected_trace.steps
+        assert result_or_error(
+            root_lower_bound, members, inst, include_empty_outcomes=empty
+        ) == result_or_error(reference_root_lower_bound, members, inst, empty)
+
+
+def call_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+class TestDeepTrees:
+    def test_chain_deeper_than_the_recursion_limit(self):
+        # Test t isolates object t (answer 2).  Classes alternate, so each
+        # step isolates the lowest class-0 object left, at ratio 1/(n/2): a
+        # chain n/2 deep whose worst root branch costs n/2 in all.
+        n = 300
+        inst = Instance.create(
+            classes=[s % 2 for s in range(n)],
+            outcomes=[[2 if s == t else 1 for s in range(n)] for t in range(n)],
+        )
+        everything = frozenset(inst.objects)
+        trace = GreedyTrace()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(call_depth() + 60)
+        try:
+            tree = divide_pairs(everything, inst, trace=trace)
+            bound = root_lower_bound(everything, inst)
+        finally:
+            sys.setrecursionlimit(limit)
+        chain = list(range(0, n, 2))
+        assert [step.test for step in trace.steps] == chain
+        assert {step.ratio for step in trace.steps} == {Fraction(2, n)}
+        node = tree
+        for t in chain:
+            assert isinstance(node, Internal) and node.test == t
+            assert node.children[2] == Leaf(0, frozenset({t}))
+            node = node.children[1]
+        assert node == Leaf(1, frozenset(range(1, n, 2)))
+        assert bound == n // 2

@@ -139,6 +139,29 @@ class TestGenerator:
         assert inst.name == "seed10"
         assert inst.num_tests == 2
 
+    def test_repairs_match_the_pair_loop(self):
+        # 40 objects over 6 binary tests: most draws fuse some pairs.  The
+        # repair isolates the first member of each fused pair, in pair order.
+        n, tests, repaired = 40, 6, 0
+        for seed in range(15):
+            inst = generate(
+                GeneratorSpec(num_objects=n, num_classes=4, num_tests=tests, seed=seed)
+            )
+            drawn = inst.outcome_table[:tests]
+            isolated: list[int] = []
+            for a in range(n):
+                for b in range(a + 1, n):
+                    fused = all(row[a] == row[b] for row in drawn)
+                    if fused and inst.classes[a] != inst.classes[b] and a not in isolated:
+                        isolated.append(a)
+            assert inst.outcome_table[tests:] == tuple(
+                tuple(2 if s == a else 1 for s in range(n)) for a in isolated
+            )
+            suffix = f"+{len(isolated)}-repair-tests" if isolated else ""
+            assert inst.name == f"seed{seed}{suffix}"
+            repaired += bool(isolated)
+        assert repaired >= 10
+
     def test_impossible_spec_is_rejected_up_front(self):
         with pytest.raises(ValueError, match="completeness is impossible"):
             generate(GeneratorSpec(num_objects=5, num_classes=5, num_tests=2))
@@ -427,6 +450,21 @@ class TestExperimentConfig:
                 load_config(path)
 
 
+    def test_infeasible_sizes_are_rejected_when_loaded(self, tmp_path):
+        path = tmp_path / "config.json"
+        doc = {"seed": 11, "count": 20, "objects": [3, 12], "tests": [3, 8]}
+        path.write_text(json.dumps(doc))
+        message = "3 tests with 2 outcomes distinguish at most 8 objects, but up to 12"
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(ExperimentConfig(seed=11, count=20, objects=(3, 12), tests=(3, 8)))
+        # A single class needs no test, and 2**4 = 16 >= 12 objects suffices.
+        for fix in ({"classes": [1, 1]}, {"tests": [4, 8]}):
+            path.write_text(json.dumps({**doc, **fix}))
+            load_config(path)
+
+
 class TestRunExperiment:
     def test_unit_cost_batch_holds_every_bound(self, tmp_path):
         config = ExperimentConfig(
@@ -595,6 +633,19 @@ class TestCommandLine:
         second = run_cli(*argv, "-o", "two.json", cwd=tmp_path)
         assert first.returncode == second.returncode == 0
         assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
+
+    def test_infeasible_experiment_config_exits_one_before_running(self, tmp_path):
+        (tmp_path / "config.json").write_text(
+            json.dumps({"seed": 11, "count": 20, "objects": [3, 12], "tests": [3, 8]})
+        )
+        run = run_cli(
+            "experiment", "--config", "config.json", "-o", "table.tsv", cwd=tmp_path
+        )
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr.count("\n") == 1
+        assert "distinguish at most 8 objects, but up to 12" in run.stderr
+        assert not (tmp_path / "table.tsv").exists()
 
     def test_experiment_subcommand(self, tmp_path):
         (tmp_path / "config.json").write_text(

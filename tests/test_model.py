@@ -98,6 +98,25 @@ class TestValidateInstance:
             )
             assert validate_instance(inst) == []
 
+    def test_completeness_matches_the_pair_loop_in_content_and_order(self):
+        # Few binary tests over many objects leave many fused signatures.
+        rng = random.Random(31)
+        incomplete = 0
+        for _ in range(30):
+            n = rng.randint(2, 40)
+            classes = [rng.randrange(3) for _ in range(n)]
+            rows = [[rng.randint(1, 2) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+            inst = Instance.create(classes, rows, num_outcomes=2)
+            expected = [
+                f"completeness: objects {a} and {b} are never separated"
+                for a in range(n)
+                for b in range(a + 1, n)
+                if classes[a] != classes[b] and all(row[a] == row[b] for row in rows)
+            ]
+            assert validate_instance(inst) == expected
+            incomplete += bool(expected)
+        assert incomplete >= 20
+
 
 class TestPartition:
     def test_buckets_follow_outcomes(self, two_test_example):
@@ -231,6 +250,29 @@ class TestEvaluate:
             evaluate(Internal(9, {1: Leaf(0, frozenset({0}))}), two_test_example)
         with pytest.raises(ValueError, match="unknown object"):
             evaluate(Leaf(0, frozenset({42})), two_test_example)
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        # 1,100 singleton classes; test t isolates object t (answer 2), and
+        # the chain applies tests 0, 1, ... along answer 1.
+        n = 1100
+        inst = Instance(
+            classes=tuple(range(n)),
+            num_outcomes=2,
+            outcome_table=tuple((1,) * t + (2,) + (1,) * (n - 1 - t) for t in range(n - 1)),
+            priors=(Fraction(1, n),) * n,
+            cost_table=((Fraction(1), Fraction(1)),) * (n - 1),
+        )
+        tree = Leaf(n - 1, frozenset({n - 1}))
+        for t in reversed(range(n - 1)):
+            tree = Internal(t, {1: tree, 2: Leaf(t, frozenset({t}))})
+        report = evaluate(tree, inst)
+        assert report.per_object == {
+            s: Fraction(min(s + 1, n - 1)) for s in range(n)
+        }
+        # Pre-order with answer 1 first reaches the deepest leaf first.
+        assert list(report.per_object) == list(reversed(range(n)))
+        assert report.worst == n - 1
+        assert report.expected == Fraction((n - 1) * n // 2 + n - 1, n)
 
 
 class TestValidateTree:
