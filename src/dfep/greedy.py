@@ -37,6 +37,7 @@ from dfep.model import (
     Internal,
     Kernel,
     Leaf,
+    _check_objects,
     evaluate,
     mask_objects,
     objects_mask,
@@ -79,15 +80,10 @@ class GreedyTrace:
     steps: list[GreedyStep] = field(default_factory=list)
 
 
-
-
 def _checked_members(objects: Iterable[int], inst: Instance) -> frozenset[int]:
-    members = frozenset(objects)
+    members = _check_objects(objects, inst)
     if not members:
         raise ValueError("cannot work with an empty object set")
-    bad = [s for s in members if not 0 <= s < inst.num_objects]
-    if bad:
-        raise ValueError(f"no such object(s): {sorted(bad)}")
     return members
 
 

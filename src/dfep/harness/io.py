@@ -60,6 +60,9 @@ def _load_document(path: Pathish) -> Any:
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: malformed document: {exc}") from None
+    except RecursionError:
+        # The json parser recurses once per nesting level.
+        raise ValueError(f"{path}: document nested too deeply") from None
 
 
 def _dump_document(doc: Any, path: Pathish) -> None:
@@ -203,44 +206,68 @@ def read_instance(path: Pathish, *, validate: bool = True) -> Instance:
 
 def tree_to_doc(tree: DecisionTree) -> dict[str, Any]:
     """The plain-data form of a tree, as written to tree files."""
-    if isinstance(tree, Leaf):
-        return {"leaf_class": tree.class_id, "objects": sorted(tree.objects)}
-    return {
-        "test": tree.test,
-        "children": {
-            str(outcome): tree_to_doc(tree.children[outcome])
-            for outcome in sorted(tree.children)
-        },
-    }
+    root: dict[str, Any] = {}
+    stack: list[tuple[DecisionTree, dict[str, Any]]] = [(tree, root)]
+    while stack:
+        node, doc = stack.pop()
+        if isinstance(node, Leaf):
+            doc["leaf_class"] = node.class_id
+            doc["objects"] = sorted(node.objects)
+            continue
+        doc["test"] = node.test
+        doc["children"] = {}
+        for outcome in sorted(node.children):
+            doc["children"][str(outcome)] = sub = {}
+            stack.append((node.children[outcome], sub))
+    return root
 
 
 def _tree_from_doc(doc: Any, where: str) -> DecisionTree:
-    node = _expect_mapping(doc, where)
-    if "leaf_class" in node:
-        extra = set(node) - {"leaf_class", "objects"}
-        if extra:
-            raise ValueError(f"{where}: unexpected leaf fields {sorted(extra)}")
-        objects = _expect_list(node.get("objects"), f"{where}: objects")
-        return Leaf(
-            class_id=_expect_int(node.get("leaf_class"), f"{where}: leaf_class"),
-            objects=frozenset(
-                _expect_int(s, f"{where}: objects[{k}]") for k, s in enumerate(objects)
-            ),
-        )
-    if "test" in node:
-        extra = set(node) - {"test", "children"}
-        if extra:
-            raise ValueError(f"{where}: unexpected node fields {sorted(extra)}")
-        children_doc = _expect_mapping(node.get("children"), f"{where}: children")
-        children: dict[int, DecisionTree] = {}
-        for key, sub in children_doc.items():
+    # A recursive descent on an explicit stack, so that depth is unbounded.
+    # An entry (document, where, parent, key, None) parses a node into
+    # parent[key]; below the root, ``where`` is the parent's and ``key`` the
+    # raw children key, checked first.  Children are parsed in document
+    # order, and a node's test id is checked after all of them, from an entry
+    # (node, where, parent, key, children) that then builds the node.
+    root: dict[Any, DecisionTree] = {}
+    stack: list[tuple[Any, str, dict, Any, Any]] = [(doc, where, root, None, None)]
+    while stack:
+        raw, where, into, key, children = stack.pop()
+        if children is not None:
+            test = _expect_int(raw.get("test"), f"{where}: test")
+            into[key] = Internal(test=test, children=children)
+            continue
+        if key is not None:
             try:
                 outcome = int(key)
             except ValueError:
                 raise ValueError(f"{where}: children key {key!r} is not an outcome") from None
-            children[outcome] = _tree_from_doc(sub, f"{where}: children[{key}]")
-        return Internal(test=_expect_int(node.get("test"), f"{where}: test"), children=children)
-    raise ValueError(f"{where}: node needs either 'leaf_class' or 'test'")
+            where, key = f"{where}: children[{key}]", outcome
+        node = _expect_mapping(raw, where)
+        if "leaf_class" in node:
+            extra = set(node) - {"leaf_class", "objects"}
+            if extra:
+                raise ValueError(f"{where}: unexpected leaf fields {sorted(extra)}")
+            objects = _expect_list(node.get("objects"), f"{where}: objects")
+            into[key] = Leaf(
+                class_id=_expect_int(node.get("leaf_class"), f"{where}: leaf_class"),
+                objects=frozenset(
+                    _expect_int(s, f"{where}: objects[{k}]") for k, s in enumerate(objects)
+                ),
+            )
+        elif "test" in node:
+            extra = set(node) - {"test", "children"}
+            if extra:
+                raise ValueError(f"{where}: unexpected node fields {sorted(extra)}")
+            children_doc = _expect_mapping(node.get("children"), f"{where}: children")
+            children = {}
+            stack.append((node, where, into, key, children))
+            stack.extend(
+                (sub, where, children, k, None) for k, sub in reversed(children_doc.items())
+            )
+        else:
+            raise ValueError(f"{where}: node needs either 'leaf_class' or 'test'")
+    return root[None]
 
 
 def write_tree(tree: DecisionTree, path: Pathish) -> None:
@@ -263,23 +290,28 @@ def export_dot(tree: DecisionTree, inst: Instance, path: Pathish) -> None:
         raise ValueError("refusing to export an invalid tree:\n" + "\n".join(problems))
     lines = ["digraph decision_tree {"]
     counter = 0
-
-    def emit(node: DecisionTree) -> int:
-        nonlocal counter
+    # Pre-order with ascending outcomes, on an explicit stack.  An entry is a
+    # node with its parent's number and the label of the edge into it, or an
+    # edge line, which comes off the stack once the subtree below it is out.
+    stack: list[Any] = [(tree, None, "")]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, str):
+            lines.append(entry)
+            continue
+        node, parent, label = entry
         this = counter
         counter += 1
+        if parent is not None:
+            stack.append(f'  n{parent} -> n{this} [label="{label}"];')
         if isinstance(node, Leaf):
             members = ", ".join(str(s) for s in sorted(node.objects))
             lines.append(f'  n{this} [shape=box, label="class {node.class_id} {{{members}}}"];')
-            return this
+            continue
         lines.append(f'  n{this} [label="t{node.test}"];')
-        for outcome in sorted(node.children):
-            child = emit(node.children[outcome])
+        for outcome in sorted(node.children, reverse=True):
             cost = format_rational(inst.cost(node.test, outcome))
-            lines.append(f'  n{this} -> n{child} [label="outcome={outcome}, cost={cost}"];')
-        return this
-
-    emit(tree)
+            stack.append((node.children[outcome], this, f"outcome={outcome}, cost={cost}"))
     lines.append("}")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -280,18 +280,26 @@ def tree_objects(tree: DecisionTree) -> frozenset[int]:
     if isinstance(tree, Leaf):
         return tree.objects
     out: set[int] = set()
-    for child in tree.children.values():
-        out |= tree_objects(child)
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            out |= node.objects
+        else:
+            stack.extend(node.children.values())
     return frozenset(out)
 
 
 def iter_leaves(tree: DecisionTree) -> Iterator[Leaf]:
     """Yield leaves in pre-order, visiting outcomes in ascending order."""
-    if isinstance(tree, Leaf):
-        yield tree
-        return
-    for outcome in sorted(tree.children):
-        yield from iter_leaves(tree.children[outcome])
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            yield node
+        else:
+            # Reversed, so that the lowest outcome is popped first.
+            stack.extend(node.children[i] for i in sorted(node.children, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -509,7 +517,11 @@ def validate_tree(tree: DecisionTree, objects: Iterable[int], inst: Instance) ->
     except ValueError as exc:
         return [str(exc)]
 
-    def walk(node: DecisionTree, expected: frozenset[int], path: str) -> None:
+    # Pre-order with ascending outcomes, on an explicit stack so that depth
+    # is unbounded; each entry carries the objects its node should hold.
+    stack: list[tuple[DecisionTree, frozenset[int], str]] = [(tree, expected_root, "root")]
+    while stack:
+        node, expected, path = stack.pop()
         if isinstance(node, Leaf):
             if node.objects != expected:
                 violations.append(
@@ -518,12 +530,12 @@ def validate_tree(tree: DecisionTree, objects: Iterable[int], inst: Instance) ->
                 )
             if not node.objects:
                 violations.append(f"{path}: empty leaf")
-                return
+                continue
             labels = {inst.classes[s] for s in node.objects if 0 <= s < inst.num_objects}
             unknown = [s for s in node.objects if not 0 <= s < inst.num_objects]
             if unknown:
                 violations.append(f"{path}: leaf references unknown objects {sorted(unknown)}")
-                return
+                continue
             if len(labels) > 1:
                 violations.append(f"{path}: leaf not homogeneous (classes {sorted(labels)})")
             elif labels != {node.class_id}:
@@ -531,10 +543,10 @@ def validate_tree(tree: DecisionTree, objects: Iterable[int], inst: Instance) ->
                     f"{path}: leaf labeled class {node.class_id} but objects are "
                     f"class {labels.pop()}"
                 )
-            return
+            continue
         if not 0 <= node.test < inst.num_tests:
             violations.append(f"{path}: unknown test {node.test}")
-            return
+            continue
         buckets = partition(expected, node.test, inst)
         if len(node.children) < 2:
             violations.append(f"{path}: internal node with {len(node.children)} child(ren)")
@@ -543,11 +555,11 @@ def validate_tree(tree: DecisionTree, objects: Iterable[int], inst: Instance) ->
                 f"{path}: children cover outcomes {sorted(node.children)} but test "
                 f"{node.test} splits this set into outcomes {sorted(buckets)}"
             )
-            return
-        for outcome in sorted(node.children):
-            walk(node.children[outcome], buckets[outcome], f"{path}.{outcome}")
-
-    walk(tree, expected_root, "root")
+            continue
+        stack.extend(
+            (node.children[i], buckets[i], f"{path}.{i}")
+            for i in sorted(node.children, reverse=True)
+        )
     return violations
 
 

@@ -1,17 +1,26 @@
 """Exact baselines: optimal trees by exhaustive dynamic programming.
 
 These solvers exist to judge the fast algorithms, not to be fast themselves.
-They memoize over subsets of objects (bitmasks), so they are exponential and
-deliberately refuse sets larger than a small cap.  Everything returns exact
+Each is one memoized recursion over the object subsets that usable tests
+reach from the input set, run on a :class:`~dfep.model.Kernel`: a subset is a
+bitmask, its bucket under a test is one AND, and costs and priors are
+integers scaled from the exact rationals.  The solvers differ only in three
+small functions handed to that recursion: the value of a leaf, the value of
+one split given its children's values, and the pick among a subset's splits.
+The recursion is exponential, so the solvers refuse sets larger than a small
+cap; every call builds its own kernel and memo.  Everything returns exact
 rationals and a witness tree alongside the optimal value.
 
 Provided here:
 
 * :func:`opt_worst` / :func:`opt_expected` — minimum worst-case / expected
   cost over all valid trees.
+* :func:`pareto_frontier` — the full worst-vs-expected trade-off staircase,
+  built bottom-up from the Pareto set of (worst, expected) pairs of every
+  subset.
 * :func:`opt_expected_under_budget` — minimum expected cost among trees whose
-  worst-case cost stays within a budget (None when the budget is infeasible).
-* :func:`pareto_frontier` — the full worst-vs-expected trade-off staircase.
+  worst-case cost stays within a budget (None when the budget is infeasible),
+  read off the frontier.
 * :func:`enumerate_trees` — every canonical tree over a tiny object set.
 * :func:`harmonic` — exact harmonic numbers, used by guarantee checks.
 """
@@ -21,9 +30,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from math import lcm
+from operator import itemgetter
+from typing import Any, Callable, Iterable
 
-from dfep.model import DecisionTree, Instance, Internal, Leaf, partition
+from dfep.model import (
+    DecisionTree,
+    Instance,
+    Internal,
+    Kernel,
+    Leaf,
+    _check_objects,
+    mask_objects,
+    objects_mask,
+)
 
 __all__ = [
     "DP_OBJECT_LIMIT",
@@ -76,11 +96,24 @@ def harmonic(k: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, k + 1)), Fraction(0))
 
 
-def _prepare(objects: Iterable[int], inst: Instance, limit: int) -> frozenset[int]:
-    members = frozenset(objects)
-    bad = [s for s in members if not 0 <= s < inst.num_objects]
-    if bad:
-        raise ValueError(f"no such object(s): {sorted(bad)}")
+def _recurse(
+    objects: Iterable[int],
+    inst: Instance,
+    limit: int,
+    leaf: Callable[[Leaf], Any],
+    split: Callable[[int, list[tuple[int, int, int, Any]]], Any],
+    pick: Callable[[list[Any]], Any],
+) -> tuple[Any, int, int]:
+    """The value of the object set, the number of subsets memoized, and the
+    scale of the kernel's integer costs.
+
+    A single-class subset is valued by ``leaf`` from its leaf.  A mixed one
+    is valued by ``pick`` from the ``split`` values of its usable tests (two
+    or more nonempty buckets) in ascending test id; ``split`` gets the test
+    and one ``(outcome, cost, bucket, bucket value)`` per bucket, in
+    ascending outcome order.
+    """
+    members = _check_objects(objects, inst)
     if not members:
         raise ValueError("oracle needs a nonempty object set")
     if len(members) > limit:
@@ -88,165 +121,138 @@ def _prepare(objects: Iterable[int], inst: Instance, limit: int) -> frozenset[in
             f"instance too large for exact oracle: {len(members)} objects "
             f"(limit {limit})"
         )
-    return members
+    kernel = Kernel.of(inst)
+    memo: dict[int, Any] = {}
+
+    def visit(mask: int) -> Any:
+        if mask in memo:
+            return memo[mask]
+        if sum(1 for part in kernel.class_masks if part & mask) == 1:
+            label = inst.classes[(mask & -mask).bit_length() - 1]
+            value = leaf(Leaf(class_id=label, objects=mask_objects(mask)))
+        else:
+            options = []
+            for test, row in enumerate(kernel.outcome_masks):
+                buckets = [(i, mask & m) for i, m in enumerate(row, start=1) if mask & m]
+                if len(buckets) > 1:
+                    costs = kernel.costs[test]
+                    parts = [(i, costs[i - 1], b, visit(b)) for i, b in buckets]
+                    options.append(split(test, parts))
+            if not options:
+                raise ValueError(
+                    f"objects {sorted(mask_objects(mask))} hold more than one class "
+                    "but no test separates them: incomplete instance"
+                )
+            value = pick(options)
+        memo[mask] = value
+        return value
+
+    value = visit(objects_mask(members))
+    # ``visit`` refers to itself; dropping it frees the memo now instead of
+    # at the next cyclic garbage collection.
+    del visit
+    return value, len(memo), kernel.scale
 
 
-def _mask_of(members: frozenset[int]) -> int:
-    mask = 0
-    for s in members:
-        mask |= 1 << s
-    return mask
+def _weigher(inst: Instance) -> tuple[Callable[[int], int], int]:
+    """The prior mass of a subset times ``scale``, an integer, and that scale."""
+    scale = lcm(*(p.denominator for p in inst.priors))
+    weights = [p.numerator * (scale // p.denominator) for p in inst.priors]
+
+    def weigh(mask: int) -> int:
+        total = 0
+        while mask:
+            low = mask & -mask
+            total += weights[low.bit_length() - 1]
+            mask ^= low
+        return total
+
+    return weigh, scale
 
 
-def _members_of(mask: int) -> frozenset[int]:
-    out = []
-    s = 0
-    while mask:
-        if mask & 1:
-            out.append(s)
-        mask >>= 1
-        s += 1
-    return frozenset(out)
+def _no_cost(leaf: Leaf) -> tuple[int, DecisionTree]:
+    return 0, leaf
 
 
-def _leaf_for(members: frozenset[int], inst: Instance) -> Leaf:
-    return Leaf(class_id=inst.classes[next(iter(members))], objects=members)
-
-
-def _usable_splits(
-    members: frozenset[int], inst: Instance
-) -> list[tuple[int, dict[int, frozenset[int]]]]:
-    """Tests that split the set into at least two nonempty buckets."""
-    out = []
-    for t in inst.tests:
-        buckets = partition(members, t, inst)
-        if len(buckets) >= 2:
-            out.append((t, buckets))
-    return out
-
-
-def _raise_incomplete(members: frozenset[int]) -> None:
-    raise ValueError(
-        f"objects {sorted(members)} hold more than one class but no test "
-        "separates them: incomplete instance"
-    )
-
-
-def _worst_dp(
-    members: frozenset[int],
-    inst: Instance,
-    memo: dict[int, tuple[Fraction, DecisionTree]],
-) -> tuple[Fraction, DecisionTree]:
-    mask = _mask_of(members)
-    hit = memo.get(mask)
-    if hit is not None:
-        return hit
-    if inst.is_homogeneous(members):
-        result = (Fraction(0), _leaf_for(members, inst))
-    else:
-        best: tuple[Fraction, DecisionTree] | None = None
-        for t, buckets in _usable_splits(members, inst):
-            height = Fraction(0)
-            children: dict[int, DecisionTree] = {}
-            for outcome in sorted(buckets):
-                sub_value, sub_tree = _worst_dp(buckets[outcome], inst, memo)
-                height = max(height, inst.cost(t, outcome) + sub_value)
-                children[outcome] = sub_tree
-            if best is None or height < best[0]:
-                best = (height, Internal(test=t, children=children))
-        if best is None:
-            _raise_incomplete(members)
-        result = best
-    memo[mask] = result
-    return result
-
-
-def _expected_dp(
-    members: frozenset[int],
-    inst: Instance,
-    memo: dict[int, tuple[Fraction, DecisionTree]],
-) -> tuple[Fraction, DecisionTree]:
-    mask = _mask_of(members)
-    hit = memo.get(mask)
-    if hit is not None:
-        return hit
-    if inst.is_homogeneous(members):
-        result = (Fraction(0), _leaf_for(members, inst))
-    else:
-        best: tuple[Fraction, DecisionTree] | None = None
-        for t, buckets in _usable_splits(members, inst):
-            total = Fraction(0)
-            children: dict[int, DecisionTree] = {}
-            for outcome in sorted(buckets):
-                bucket = buckets[outcome]
-                sub_value, sub_tree = _expected_dp(bucket, inst, memo)
-                total += inst.mass(bucket) * inst.cost(t, outcome) + sub_value
-                children[outcome] = sub_tree
-            if best is None or total < best[0]:
-                best = (total, Internal(test=t, children=children))
-        if best is None:
-            _raise_incomplete(members)
-        result = best
-    memo[mask] = result
-    return result
+def _first_minimum(options: list[tuple[int, int, list]]) -> tuple[int, DecisionTree]:
+    """The cheapest split as (value, tree); ties go to the smallest test id."""
+    value, test, parts = min(options, key=itemgetter(0))
+    return value, Internal(test=test, children={i: sub[1] for i, _, _, sub in parts})
 
 
 def opt_worst(objects: Iterable[int], inst: Instance) -> OracleResult:
     """Minimum worst-case cost of any valid tree over the given objects."""
-    members = _prepare(objects, inst, DP_OBJECT_LIMIT)
-    memo: dict[int, tuple[Fraction, DecisionTree]] = {}
-    value, tree = _worst_dp(members, inst, memo)
-    return OracleResult(value=value, tree=tree, explored=len(memo))
+
+    def split(test: int, parts: list) -> tuple[int, int, list]:
+        return max(cost + sub[0] for _, cost, _, sub in parts), test, parts
+
+    (value, tree), explored, scale = _recurse(
+        objects, inst, DP_OBJECT_LIMIT, _no_cost, split, _first_minimum
+    )
+    return OracleResult(value=Fraction(value, scale), tree=tree, explored=explored)
 
 
 def opt_expected(objects: Iterable[int], inst: Instance) -> OracleResult:
     """Minimum prior-weighted expected cost of any valid tree."""
-    members = _prepare(objects, inst, DP_OBJECT_LIMIT)
-    memo: dict[int, tuple[Fraction, DecisionTree]] = {}
-    value, tree = _expected_dp(members, inst, memo)
-    return OracleResult(value=value, tree=tree, explored=len(memo))
+    weigh, weight_scale = _weigher(inst)
+
+    def split(test: int, parts: list) -> tuple[int, int, list]:
+        return sum(weigh(b) * cost + sub[0] for _, cost, b, sub in parts), test, parts
+
+    (value, tree), explored, scale = _recurse(
+        objects, inst, DP_OBJECT_LIMIT, _no_cost, split, _first_minimum
+    )
+    return OracleResult(
+        value=Fraction(value, scale * weight_scale), tree=tree, explored=explored
+    )
 
 
-def _budget_dp(
-    members: frozenset[int],
-    budget: Fraction,
-    inst: Instance,
-    memo: dict[tuple[int, Fraction], tuple[Fraction, DecisionTree] | None],
-    worst_memo: dict[int, tuple[Fraction, DecisionTree]],
-) -> tuple[Fraction, DecisionTree] | None:
-    key = (_mask_of(members), budget)
-    if key in memo:
-        return memo[key]
-    floor, _ = _worst_dp(members, inst, worst_memo)
-    if budget < floor:
-        memo[key] = None
-        return None
-    if inst.is_homogeneous(members):
-        result: tuple[Fraction, DecisionTree] | None = (
-            Fraction(0),
-            _leaf_for(members, inst),
-        )
-    else:
-        best: tuple[Fraction, DecisionTree] | None = None
-        for t, buckets in _usable_splits(members, inst):
-            total = Fraction(0)
-            children: dict[int, DecisionTree] = {}
-            for outcome in sorted(buckets):
-                bucket = buckets[outcome]
-                sub = _budget_dp(
-                    bucket, budget - inst.cost(t, outcome), inst, memo, worst_memo
-                )
-                if sub is None:
-                    break
-                sub_value, sub_tree = sub
-                total += inst.mass(bucket) * inst.cost(t, outcome) + sub_value
-                children[outcome] = sub_tree
-            else:
-                if best is None or total < best[0]:
-                    best = (total, Internal(test=t, children=children))
-        result = best
-    memo[key] = result
-    return result
+def _staircase(points: Iterable[tuple[int, int, Any]]) -> list[tuple[int, int, Any]]:
+    """The (worst, expected, witness) points no other point beats on both
+    measures, by ascending worst; of equal points the first stays."""
+    out: list[tuple[int, int, Any]] = []
+    for point in sorted(points, key=itemgetter(0, 1)):
+        if not out or point[1] < out[-1][1]:
+            out.append(point)
+    return out
+
+
+def _frontier(objects: Iterable[int], inst: Instance) -> tuple[list[FrontierPoint], int]:
+    """The frontier of the object set, and the number of subsets memoized."""
+    weigh, weight_scale = _weigher(inst)
+
+    def split(test: int, parts: list) -> list[tuple[int, int, DecisionTree]]:
+        # A split's worst is max(cost_i + worst_i) and its expected is
+        # sum(mass_i * cost_i + expected_i), both monotone in every child's
+        # pair, so the buckets join one at a time and a partial point beaten
+        # on both measures is dropped at once: it only leads to beaten trees.
+        partial: list[tuple[int, int, tuple]] = [(0, 0, ())]
+        for _, cost, b, points in parts:
+            toll = weigh(b) * cost
+            partial = _staircase(
+                (max(worst, cost + sub_worst), expected + toll + sub_expected, kids + (sub,))
+                for worst, expected, kids in partial
+                for sub_worst, sub_expected, sub in points
+            )
+        outcomes = [i for i, _, _, _ in parts]
+        return [
+            (worst, expected, Internal(test=test, children=dict(zip(outcomes, kids))))
+            for worst, expected, kids in partial
+        ]
+
+    points, explored, scale = _recurse(
+        objects,
+        inst,
+        DP_OBJECT_LIMIT,
+        lambda leaf: [(0, 0, leaf)],
+        split,
+        lambda options: _staircase(itertools.chain.from_iterable(options)),
+    )
+    frontier = [
+        FrontierPoint(Fraction(worst, scale), Fraction(expected, scale * weight_scale), tree)
+        for worst, expected, tree in points
+    ]
+    return frontier, explored
 
 
 def opt_expected_under_budget(
@@ -261,97 +267,24 @@ def opt_expected_under_budget(
     """
     if budget is None:
         return opt_expected(objects, inst)
-    members = _prepare(objects, inst, DP_OBJECT_LIMIT)
-    cap = budget if isinstance(budget, Fraction) else Fraction(budget)
-    memo: dict[tuple[int, Fraction], tuple[Fraction, DecisionTree] | None] = {}
-    worst_memo: dict[int, tuple[Fraction, DecisionTree]] = {}
-    out = _budget_dp(members, cap, inst, memo, worst_memo)
-    if out is None:
+    frontier, explored = _frontier(objects, inst)
+    cap = Fraction(budget)
+    fitting = [point for point in frontier if point.budget <= cap]
+    if not fitting:
         return None
-    value, tree = out
-    return OracleResult(value=value, tree=tree, explored=len(memo))
-
-
-def _path_cost_sums(
-    members: frozenset[int],
-    inst: Instance,
-    memo: dict[int, frozenset[Fraction]],
-) -> frozenset[Fraction]:
-    """All root-to-leaf path costs realizable by canonical trees over a set."""
-    mask = _mask_of(members)
-    hit = memo.get(mask)
-    if hit is not None:
-        return hit
-    if inst.is_homogeneous(members):
-        result = frozenset({Fraction(0)})
-    else:
-        sums: set[Fraction] = set()
-        splits = _usable_splits(members, inst)
-        if not splits:
-            _raise_incomplete(members)
-        for t, buckets in splits:
-            for outcome, bucket in buckets.items():
-                edge = inst.cost(t, outcome)
-                for tail in _path_cost_sums(bucket, inst, memo):
-                    sums.add(edge + tail)
-        result = frozenset(sums)
-    memo[mask] = result
-    return result
+    return OracleResult(value=fitting[-1].expected, tree=fitting[-1].tree, explored=explored)
 
 
 def pareto_frontier(objects: Iterable[int], inst: Instance) -> list[FrontierPoint]:
     """The exact worst-vs-expected trade-off, one point per useful budget.
 
-    Budgets are probed in ascending order over every realizable path cost of
-    the object set; a point is kept whenever loosening the budget strictly
-    improves the best expected cost.  The first point's budget is the optimal
-    worst-case cost and the last point's expected cost is the unconstrained
-    optimum, so the staircase spans the whole trade-off.
+    Points ascend in budget and strictly descend in expected cost; each
+    budget is the worst-case cost of its witness, and no tree beats a point
+    on both measures.  The first point's budget is the optimal worst-case
+    cost and the last point's expected cost is the unconstrained optimum, so
+    the staircase spans the whole trade-off.
     """
-    members = _prepare(objects, inst, DP_OBJECT_LIMIT)
-    worst_memo: dict[int, tuple[Fraction, DecisionTree]] = {}
-    budget_memo: dict[tuple[int, Fraction], tuple[Fraction, DecisionTree] | None] = {}
-    floor, _ = _worst_dp(members, inst, worst_memo)
-    unconstrained, _ = _expected_dp(members, inst, {})
-    candidates = sorted(_path_cost_sums(members, inst, {}))
-    points: list[FrontierPoint] = []
-    for budget in candidates:
-        if budget < floor:
-            continue
-        outcome = _budget_dp(members, budget, inst, budget_memo, worst_memo)
-        assert outcome is not None  # budget >= floor makes the DP feasible
-        value, tree = outcome
-        if not points or value < points[-1].expected:
-            points.append(FrontierPoint(budget=budget, expected=value, tree=tree))
-        if value == unconstrained:
-            break
-    return points
-
-
-def _enumerate(
-    members: frozenset[int],
-    inst: Instance,
-    memo: dict[int, tuple[DecisionTree, ...]],
-) -> tuple[DecisionTree, ...]:
-    mask = _mask_of(members)
-    hit = memo.get(mask)
-    if hit is not None:
-        return hit
-    if inst.is_homogeneous(members):
-        result: tuple[DecisionTree, ...] = (_leaf_for(members, inst),)
-    else:
-        splits = _usable_splits(members, inst)
-        if not splits:
-            _raise_incomplete(members)
-        trees: list[DecisionTree] = []
-        for t, buckets in splits:
-            outcomes = sorted(buckets)
-            per_bucket = [_enumerate(buckets[o], inst, memo) for o in outcomes]
-            for combo in itertools.product(*per_bucket):
-                trees.append(Internal(test=t, children=dict(zip(outcomes, combo))))
-        result = tuple(trees)
-    memo[mask] = result
-    return result
+    return _frontier(objects, inst)[0]
 
 
 def enumerate_trees(objects: Iterable[int], inst: Instance) -> list[DecisionTree]:
@@ -362,5 +295,20 @@ def enumerate_trees(objects: Iterable[int], inst: Instance) -> list[DecisionTree
     equal minima over all valid trees.  The family is exponential, hence the
     tight object cap.
     """
-    members = _prepare(objects, inst, ENUMERATION_OBJECT_LIMIT)
-    return list(_enumerate(members, inst, {}))
+
+    def split(test: int, parts: list) -> list[DecisionTree]:
+        outcomes = [i for i, _, _, _ in parts]
+        return [
+            Internal(test=test, children=dict(zip(outcomes, combo)))
+            for combo in itertools.product(*(trees for _, _, _, trees in parts))
+        ]
+
+    trees, _, _ = _recurse(
+        objects,
+        inst,
+        ENUMERATION_OBJECT_LIMIT,
+        lambda leaf: [leaf],
+        split,
+        lambda options: list(itertools.chain.from_iterable(options)),
+    )
+    return trees

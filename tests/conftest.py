@@ -4,8 +4,10 @@ The oracles here deliberately avoid the library's own formulas: pair counts
 are found by enumerating object pairs one by one, reference costs by
 re-walking trees with a hand-rolled recursion, and the reference greedy
 scores with ``Fraction`` over frozenset partitions instead of the library's
-bitmask kernel.  Agreement between these and the library is then evidence,
-not tautology.
+bitmask kernel.  The reference oracle does the same for the exact optima, and
+finds the frontier by probing a budgeted DP at every realizable path cost
+instead of merging per-subset Pareto sets.  Agreement between these and the
+library is then evidence, not tautology.
 
 Property tests run under the ``dfep`` hypothesis profile registered here:
 derandomized, so every run draws the same examples, with no deadline and a
@@ -119,6 +121,14 @@ def path_costs_by_walking(tree: DecisionTree, inst: Instance) -> dict[int, Fract
     return out
 
 
+def result_or_error(fn, *args, **kwargs):
+    """``("ok", result)``, or ``("error", message)`` if ``fn`` raises ValueError."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
 def reference_criterion_value(
     members: frozenset[int], test: int, inst: Instance, include_empty: bool
 ) -> Fraction | None:
@@ -201,6 +211,134 @@ def reference_root_lower_bound(
     total = pair_count(members, inst)
     remaining = pair_count(buckets[worst], inst)
     return Fraction(inst.cost(test, worst) * total, total - remaining)
+
+
+def _reference_splits(members: frozenset[int], inst: Instance) -> list:
+    """Usable tests with their frozenset buckets; raises on an inseparable set."""
+    splits = [(t, partition(members, t, inst)) for t in inst.tests]
+    splits = [(t, buckets) for t, buckets in splits if len(buckets) >= 2]
+    if not splits:
+        raise ValueError(
+            f"objects {sorted(members)} hold more than one class but no test "
+            "separates them: incomplete instance"
+        )
+    return splits
+
+
+def _reference_leaf(members: frozenset[int], inst: Instance) -> Leaf:
+    return Leaf(class_id=inst.classes[next(iter(members))], objects=members)
+
+
+def reference_opt(members: frozenset[int], inst: Instance, measure: str, memo: dict):
+    """Optimal ``"worst"`` or ``"expected"`` cost as (value, tree), by a
+    ``Fraction`` recursion over frozensets memoized in ``memo``; ties go to
+    the smallest test id."""
+    if members in memo:
+        return memo[members]
+    if inst.is_homogeneous(members):
+        result = (Fraction(0), _reference_leaf(members, inst))
+    else:
+        result = None
+        for t, buckets in _reference_splits(members, inst):
+            value = Fraction(0)
+            children = {}
+            for outcome in sorted(buckets):
+                sub_value, children[outcome] = reference_opt(
+                    buckets[outcome], inst, measure, memo
+                )
+                if measure == "worst":
+                    value = max(value, inst.cost(t, outcome) + sub_value)
+                else:
+                    value += inst.mass(buckets[outcome]) * inst.cost(t, outcome) + sub_value
+            if result is None or value < result[0]:
+                result = (value, Internal(test=t, children=children))
+    memo[members] = result
+    return result
+
+
+def reference_budget(
+    members: frozenset[int], budget: Fraction, inst: Instance, memo: dict, worst_memo: dict
+):
+    """Best expected cost as (value, tree) among trees of worst cost at most
+    ``budget``, or None if none fits: the DP over (set, budget) pairs."""
+    key = (members, budget)
+    if key in memo:
+        return memo[key]
+    if budget < reference_opt(members, inst, "worst", worst_memo)[0]:
+        result = None
+    elif inst.is_homogeneous(members):
+        result = (Fraction(0), _reference_leaf(members, inst))
+    else:
+        result = None
+        for t, buckets in _reference_splits(members, inst):
+            total = Fraction(0)
+            children = {}
+            for outcome in sorted(buckets):
+                cost = inst.cost(t, outcome)
+                sub = reference_budget(buckets[outcome], budget - cost, inst, memo, worst_memo)
+                if sub is None:
+                    break
+                total += inst.mass(buckets[outcome]) * cost + sub[0]
+                children[outcome] = sub[1]
+            else:
+                if result is None or total < result[0]:
+                    result = (total, Internal(test=t, children=children))
+    memo[key] = result
+    return result
+
+
+def _reference_path_costs(members: frozenset[int], inst: Instance, memo: dict) -> set:
+    """Every root-to-leaf path cost of every canonical tree over the set."""
+    if members not in memo:
+        if inst.is_homogeneous(members):
+            memo[members] = {Fraction(0)}
+        else:
+            memo[members] = {
+                inst.cost(t, outcome) + tail
+                for t, buckets in _reference_splits(members, inst)
+                for outcome, bucket in buckets.items()
+                for tail in _reference_path_costs(bucket, inst, memo)
+            }
+    return memo[members]
+
+
+def reference_frontier(members: frozenset[int], inst: Instance) -> list[tuple]:
+    """The staircase as (budget, expected) pairs, by probing every realizable
+    path cost from the worst-case optimum up with the budget DP."""
+    worst_memo: dict = {}
+    floor = reference_opt(members, inst, "worst", worst_memo)[0]
+    unconstrained = reference_opt(members, inst, "expected", {})[0]
+    memo: dict = {}
+    points: list[tuple] = []
+    for budget in sorted(_reference_path_costs(members, inst, {})):
+        if budget < floor:
+            continue
+        value = reference_budget(members, budget, inst, memo, worst_memo)[0]
+        if not points or value < points[-1][1]:
+            points.append((budget, value))
+        if value == unconstrained:
+            break
+    return points
+
+
+def deep_chain(n: int = 1100) -> tuple[Instance, DecisionTree]:
+    """A chain tree n - 1 tests deep over n singleton classes, with its instance.
+
+    Test t isolates object t (answer 2), and the chain applies tests 0, 1, ...
+    along answer 1, so every walk that recurses once per level overflows the
+    default recursion limit.
+    """
+    inst = Instance(
+        classes=tuple(range(n)),
+        num_outcomes=2,
+        outcome_table=tuple((1,) * t + (2,) + (1,) * (n - 1 - t) for t in range(n - 1)),
+        priors=(Fraction(1, n),) * n,
+        cost_table=((Fraction(1), Fraction(1)),) * (n - 1),
+    )
+    tree: DecisionTree = Leaf(n - 1, frozenset({n - 1}))
+    for t in reversed(range(n - 1)):
+        tree = Internal(t, {1: tree, 2: Leaf(t, frozenset({t}))})
+    return inst, tree
 
 
 def random_instance(

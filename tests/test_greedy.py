@@ -34,6 +34,7 @@ from tests.conftest import (
     reference_divide_pairs,
     reference_root_lower_bound,
     reference_select_test,
+    result_or_error,
 )
 
 
@@ -331,13 +332,6 @@ def greedy_cases(draw):
         )
     )
     return inst, members, draw(st.booleans())
-
-
-def result_or_error(fn, *args, **kwargs):
-    try:
-        return "ok", fn(*args, **kwargs)
-    except ValueError as exc:
-        return "error", str(exc)
 
 
 class TestKernelMatchesFractionReference:

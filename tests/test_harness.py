@@ -16,6 +16,7 @@ from dfep.harness.experiment import (
 )
 from dfep.harness.generate import GeneratorSpec, generate
 from dfep.harness.io import (
+    _tree_from_doc,
     export_dot,
     format_rational,
     instance_to_doc,
@@ -34,7 +35,7 @@ from dfep.model import (
     validate_instance,
     validate_tree,
 )
-from tests.conftest import run_dfep, run_python
+from tests.conftest import deep_chain, run_dfep, run_python
 
 
 def two_object_instance():
@@ -347,6 +348,34 @@ class TestTreeFiles:
         )
         with pytest.raises(ValueError, match="not an outcome"):
             read_tree(path)
+
+    def test_chain_deeper_than_the_recursion_limit(self, tmp_path):
+        n = 1100
+        inst, tree = deep_chain(n)
+        doc = tree_to_doc(tree)
+        node = doc
+        for t in range(n - 1):
+            assert list(node) == ["test", "children"] and node["test"] == t
+            assert node["children"]["2"] == {"leaf_class": t, "objects": [t]}
+            node = node["children"]["1"]
+        assert node == {"leaf_class": n - 1, "objects": [n - 1]}
+        # ``==`` on trees this deep would recurse, so walk the parse instead.
+        node = _tree_from_doc(doc, "chain")
+        for t in range(n - 1):
+            assert node.test == t and node.children[2] == Leaf(t, frozenset({t}))
+            node = node.children[1]
+        assert node == Leaf(n - 1, frozenset({n - 1}))
+        export_dot(tree, inst, tmp_path / "chain.dot")
+        lines = (tmp_path / "chain.dot").read_text().splitlines()
+        # Pre-order numbers the chain's tests 0..n-2, then the leaves from
+        # the bottom up; an edge line follows the whole subtree below it.
+        assert lines[1:3] == ['  n0 [label="t0"];', '  n1 [label="t1"];']
+        assert lines[-4:] == [
+            '  n0 -> n1 [label="outcome=1, cost=1"];',
+            f'  n{2 * n - 2} [shape=box, label="class 0 {{0}}"];',
+            f'  n0 -> n{2 * n - 2} [label="outcome=2, cost=1"];',
+            "}",
+        ]
 
 
 class TestExportDot:
@@ -684,6 +713,23 @@ class TestCommandLine:
         )
         assert gen.returncode == 1
         assert "completeness is impossible" in gen.stderr
+
+    def test_deeply_nested_file_exits_one(self, tmp_path):
+        # The chain tree of ``deep_chain``, 2,200 nesting levels deep, written
+        # by hand since the json writer recurses too.  The small instance is
+        # never matched with it: the document fails to load.
+        n = 1100
+        text = "".join(
+            f'{{"test": {t}, "children": {{"2": {{"leaf_class": {t}, "objects": [{t}]}}, "1": '
+            for t in range(n - 1)
+        )
+        text += f'{{"leaf_class": {n - 1}, "objects": [{n - 1}]}}' + "}}" * (n - 1)
+        (tmp_path / "deep-tree.json").write_text(text)
+        write_instance(two_object_instance(), tmp_path / "inst.json")
+        run = run_cli("eval", "deep-tree.json", "inst.json", cwd=tmp_path)
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr == "error: deep-tree.json: document nested too deeply\n"
 
     def test_usage_errors_exit_two(self, tmp_path):
         assert run_cli(cwd=tmp_path).returncode == 2

@@ -24,6 +24,7 @@ from dfep.model import (
 from tests.conftest import (
     brute_force_pair_count,
     brute_force_separated,
+    deep_chain,
     path_costs_by_walking,
     random_complete_instance,
 )
@@ -252,19 +253,8 @@ class TestEvaluate:
             evaluate(Leaf(0, frozenset({42})), two_test_example)
 
     def test_chain_deeper_than_the_recursion_limit(self):
-        # 1,100 singleton classes; test t isolates object t (answer 2), and
-        # the chain applies tests 0, 1, ... along answer 1.
         n = 1100
-        inst = Instance(
-            classes=tuple(range(n)),
-            num_outcomes=2,
-            outcome_table=tuple((1,) * t + (2,) + (1,) * (n - 1 - t) for t in range(n - 1)),
-            priors=(Fraction(1, n),) * n,
-            cost_table=((Fraction(1), Fraction(1)),) * (n - 1),
-        )
-        tree = Leaf(n - 1, frozenset({n - 1}))
-        for t in reversed(range(n - 1)):
-            tree = Internal(t, {1: tree, 2: Leaf(t, frozenset({t}))})
+        inst, tree = deep_chain(n)
         report = evaluate(tree, inst)
         assert report.per_object == {
             s: Fraction(min(s + 1, n - 1)) for s in range(n)
@@ -402,3 +392,18 @@ class TestTreeHelpers:
         assert tree_objects(tree) == frozenset({0, 1, 2})
         leaves = list(iter_leaves(tree))
         assert [leaf.class_id for leaf in leaves] == [0, 1]
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        n = 1100
+        inst, tree = deep_chain(n)
+        assert tree_objects(tree) == frozenset(range(n))
+        # Pre-order with answer 1 first reaches the deepest leaf first.
+        assert [leaf.class_id for leaf in iter_leaves(tree)] == [n - 1, *reversed(range(n - 1))]
+        assert validate_tree(tree, inst.objects, inst) == []
+        # A fault at the bottom is reported with its full path.
+        bad = Leaf(0, frozenset({n - 1}))
+        for t in reversed(range(n - 1)):
+            bad = Internal(t, {1: bad, 2: Leaf(t, frozenset({t}))})
+        assert validate_tree(bad, inst.objects, inst) == [
+            "root" + ".1" * (n - 1) + f": leaf labeled class 0 but objects are class {n - 1}"
+        ]

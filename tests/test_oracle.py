@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfep.model import Instance, evaluate, validate_tree
 from dfep.oracle import (
@@ -17,7 +19,13 @@ from dfep.oracle import (
     opt_worst,
     pareto_frontier,
 )
-from tests.conftest import random_complete_instance
+from tests.conftest import (
+    random_complete_instance,
+    reference_budget,
+    reference_frontier,
+    reference_opt,
+    result_or_error,
+)
 
 
 def small_instances(seed: int, count: int, **overrides):
@@ -218,3 +226,90 @@ class TestParetoFrontier:
             FrontierPoint(budget=Fraction(0), expected=Fraction(0), tree=frontier[0].tree)
         ]
         assert evaluate(frontier[0].tree, inst).worst == 0
+
+
+@st.composite
+def oracle_cases(draw):
+    """A small instance (maybe incomplete) and an object subset.
+
+    Costs are "p/q" strings and priors random weights, so the integer scaling
+    of both over their least common multiples is exercised.
+    """
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(4, 8))
+    num_tests = draw(st.integers(2, 6))
+    # Objects 0 and 1 differ in class, so the full set always needs a test.
+    classes = [0, 1] + draw(st.lists(st.integers(0, 5), min_size=n - 2, max_size=n - 2))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(1, k), min_size=n, max_size=n),
+            min_size=num_tests,
+            max_size=num_tests,
+        )
+    )
+    price = st.builds("{}/{}".format, st.integers(1, 12), st.integers(1, 7))
+    mode = draw(st.sampled_from(["unit", "fixed", "value"]))
+    if mode == "unit":
+        costs = None
+    elif mode == "fixed":
+        costs = draw(st.lists(price, min_size=num_tests, max_size=num_tests))
+    else:
+        costs = draw(
+            st.lists(
+                st.lists(price, min_size=k, max_size=k),
+                min_size=num_tests,
+                max_size=num_tests,
+            )
+        )
+    weights = draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
+    priors = [Fraction(w, sum(weights)) for w in weights]
+    inst = Instance.create(classes, rows, priors=priors, costs=costs, num_outcomes=k)
+    members = draw(
+        st.one_of(
+            st.just(frozenset(range(n))),
+            st.frozensets(st.integers(0, n - 1), min_size=1),
+        )
+    )
+    return inst, members
+
+
+def reference_result(members, inst, measure):
+    memo: dict = {}
+    value, tree = reference_opt(members, inst, measure, memo)
+    return value, tree, len(memo)
+
+
+class TestMatchesFractionReference:
+    @settings(max_examples=400)
+    @given(oracle_cases())
+    def test_optima_frontier_and_budgets(self, case):
+        inst, members = case
+        for solver, measure in ((opt_worst, "worst"), (opt_expected, "expected")):
+            got = result_or_error(solver, members, inst)
+            if got[0] == "ok":
+                got = "ok", (got[1].value, got[1].tree, got[1].explored)
+            assert got == result_or_error(reference_result, members, inst, measure)
+        frontier = result_or_error(pareto_frontier, members, inst)
+        expected = result_or_error(reference_frontier, members, inst)
+        if frontier[0] == "error":
+            assert frontier == expected
+            assert result_or_error(opt_expected_under_budget, members, inst, 0) == expected
+            return
+        points = frontier[1]
+        assert [(p.budget, p.expected) for p in points] == expected[1]
+        for point in points:
+            assert validate_tree(point.tree, members, inst) == []
+            report = evaluate(point.tree, inst)
+            assert (report.worst, report.expected) == (point.budget, point.expected)
+        budgets = [p.budget for p in points]
+        probes = budgets + [(a + b) / 2 for a, b in zip(budgets, budgets[1:])]
+        probes += [budgets[0] - Fraction(1, 7), budgets[-1] + 1]
+        for budget in probes:
+            result = opt_expected_under_budget(members, inst, budget)
+            best = reference_budget(members, budget, inst, {}, {})
+            if best is None:
+                assert result is None
+            else:
+                assert result is not None and result.value == best[0]
+                report = evaluate(result.tree, inst)
+                assert report.worst <= budget and report.expected == result.value
