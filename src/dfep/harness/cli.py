@@ -28,19 +28,22 @@ from dfep.harness.io import (
     write_instance,
     write_tree,
 )
-from dfep.model import evaluate, validate_instance
+from dfep.model import DecisionTree, evaluate, validate_instance
 from dfep.oracle import opt_expected, opt_worst, pareto_frontier
 
 __all__ = ["build_parser", "main"]
 
 
-def _emit_json(doc: object, output: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+def _emit_json(doc: object) -> None:
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+
+
+def _emit_tree(tree: DecisionTree, output: str | None) -> None:
+    """Print the tree document, or write it to ``output`` when one is given."""
     if output is None:
-        sys.stdout.write(text)
+        _emit_json(tree_to_doc(tree))
     else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        write_tree(tree, output)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -68,7 +71,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     )
     inst = generate(spec)
     if args.output is None:
-        _emit_json(instance_to_doc(inst), None)
+        _emit_json(instance_to_doc(inst))
     else:
         write_instance(inst, args.output)
     return 0
@@ -83,10 +86,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         tree = opt_worst(everything, inst).tree
     else:
         tree = opt_expected(everything, inst).tree
-    if args.output is None:
-        _emit_json(tree_to_doc(tree), None)
-    else:
-        write_tree(tree, args.output)
+    _emit_tree(tree, args.output)
     return 0
 
 
@@ -96,10 +96,7 @@ def _cmd_combine(args: argparse.Namespace) -> int:
     low_worst = read_tree(args.dw)
     ratio = parse_rational(args.rho, "--rho")
     tree = combine_trees(low_expected, low_worst, ratio, inst)
-    if args.output is None:
-        _emit_json(tree_to_doc(tree), None)
-    else:
-        write_tree(tree, args.output)
+    _emit_tree(tree, args.output)
     return 0
 
 
@@ -108,10 +105,7 @@ def _cmd_combine_uniform(args: argparse.Namespace) -> int:
     low_expected = read_tree(args.de)
     low_worst = read_tree(args.dw)
     tree = combine_uniform(low_expected, low_worst, args.rho_num, inst)
-    if args.output is None:
-        _emit_json(tree_to_doc(tree), None)
-    else:
-        write_tree(tree, args.output)
+    _emit_tree(tree, args.output)
     return 0
 
 

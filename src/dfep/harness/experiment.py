@@ -22,17 +22,21 @@ numbers.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from dfep.combine import combine_trees, combine_uniform
 from dfep.greedy import divide_pairs, root_lower_bound
 from dfep.harness.generate import COST_MODES, PRIOR_MODES, GeneratorSpec, generate
 from dfep.harness.io import (
+    Pathish,
+    _dump_document,
+    _expect_int,
+    _expect_list,
+    _expect_mapping,
+    _load_document,
     format_rational,
     instance_to_doc,
     parse_rational,
@@ -169,130 +173,109 @@ def _as_range(raw: Any, where: str) -> tuple[int, int]:
         and len(raw) == 2
         and all(isinstance(v, int) and not isinstance(v, bool) for v in raw)
     ):
-        low, high = raw
-        if low > high:
-            raise ValueError(f"{where}: empty range [{low}, {high}]")
-        return (low, high)
+        return (raw[0], raw[1])
     raise ValueError(f"{where}: expected an integer or a [low, high] pair, got {raw!r}")
 
 
-_CONFIG_KEYS = {
-    "seed",
-    "count",
-    "objects",
-    "classes",
-    "tests",
-    "outcomes",
-    "cost_mode",
-    "cost_range",
-    "prior_mode",
-    "rho_grid",
-    "uniform_trade_offs",
-    "oracle_checks",
-    "replay_path",
+def _expect_str(raw: Any, where: str) -> str:
+    if not isinstance(raw, str):
+        raise ValueError(f"{where}: expected a string, got {raw!r}")
+    return raw
+
+
+def _expect_bool(raw: Any, where: str) -> bool:
+    if not isinstance(raw, bool):
+        raise ValueError(f"{where}: expected true or false")
+    return raw
+
+
+def _rho_grid(raw: Any, where: str) -> tuple[Fraction, ...]:
+    if not isinstance(raw, list) or not raw:
+        raise ValueError(f"{where}: expected a nonempty list")
+    return tuple(parse_rational(entry, f"{where}[{k}]") for k, entry in enumerate(raw))
+
+
+def _int_list(raw: Any, where: str) -> tuple[int, ...]:
+    raw = _expect_list(raw, where)
+    return tuple(_expect_int(entry, f"{where}[{k}]") for k, entry in enumerate(raw))
+
+
+# One reader per ExperimentConfig field: it checks the JSON type and returns
+# the field value; _check_config then checks the values.
+_CONFIG_READERS = {
+    "seed": _expect_int,
+    "count": _expect_int,
+    "objects": _as_range,
+    "classes": _as_range,
+    "tests": _as_range,
+    "outcomes": _expect_int,
+    "cost_mode": _expect_str,
+    "cost_range": _as_range,
+    "prior_mode": _expect_str,
+    "rho_grid": _rho_grid,
+    "uniform_trade_offs": _int_list,
+    "oracle_checks": _expect_bool,
+    "replay_path": _expect_str,
 }
 
+# The least low end of each range that every draw can be generated from.
+_RANGE_FLOORS = (("objects", 2), ("classes", 1), ("tests", 1), ("cost_range", 1))
 
-def load_config(path: str) -> ExperimentConfig:
-    """Read a batch description from a JSON file (unknown keys rejected)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: malformed document: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a configuration object")
-    unknown = set(doc) - _CONFIG_KEYS
+
+def load_config(path: Pathish) -> ExperimentConfig:
+    """Read a batch description from a JSON file (unknown keys rejected).
+
+    Every field is type-checked, and the config gets every check
+    :func:`run_experiment` makes, so a bad file fails before any draw.
+    """
+    doc = _expect_mapping(_load_document(path), f"{path}")
+    unknown = set(doc) - set(_CONFIG_READERS)
     if unknown:
         raise ValueError(f"{path}: unknown configuration keys {sorted(unknown)}")
-    base = ExperimentConfig()
-    kwargs: dict[str, Any] = {}
-    if "seed" in doc:
-        kwargs["seed"] = int(doc["seed"])
-    if "count" in doc:
-        kwargs["count"] = int(doc["count"])
-    for key in ("objects", "classes", "tests", "cost_range"):
-        if key in doc:
-            kwargs[key] = _as_range(doc[key], f"{path}: {key}")
-    if "outcomes" in doc:
-        kwargs["outcomes"] = int(doc["outcomes"])
-    if "cost_mode" in doc:
-        kwargs["cost_mode"] = str(doc["cost_mode"])
-    if "prior_mode" in doc:
-        kwargs["prior_mode"] = str(doc["prior_mode"])
-    if "rho_grid" in doc:
-        grid = doc["rho_grid"]
-        if not isinstance(grid, list) or not grid:
-            raise ValueError(f"{path}: rho_grid: expected a nonempty list")
-        kwargs["rho_grid"] = tuple(
-            parse_rational(entry, f"{path}: rho_grid[{k}]") for k, entry in enumerate(grid)
-        )
-        if any(r <= 0 for r in kwargs["rho_grid"]):
-            raise ValueError(f"{path}: rho_grid: trade-offs must be positive")
-    if "uniform_trade_offs" in doc:
-        offs = doc["uniform_trade_offs"]
-        if not isinstance(offs, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in offs
-        ):
-            raise ValueError(
-                f"{path}: uniform_trade_offs: expected a list of positive integers"
-            )
-        kwargs["uniform_trade_offs"] = tuple(offs)
-    if "oracle_checks" in doc:
-        if not isinstance(doc["oracle_checks"], bool):
-            raise ValueError(f"{path}: oracle_checks: expected true or false")
-        kwargs["oracle_checks"] = doc["oracle_checks"]
-    if "replay_path" in doc:
-        kwargs["replay_path"] = str(doc["replay_path"])
-    config = dataclasses.replace(base, **kwargs)
-    if config.count < 1:
-        raise ValueError(f"{path}: count must be positive")
-    if config.cost_mode not in COST_MODES:
-        raise ValueError(f"{path}: unknown cost mode {config.cost_mode!r}")
-    if config.prior_mode not in PRIOR_MODES:
-        raise ValueError(f"{path}: unknown prior mode {config.prior_mode!r}")
-    _check_feasible(config, path)
+    parsed = {key: _CONFIG_READERS[key](raw, f"{path}: {key}") for key, raw in doc.items()}
+    config = ExperimentConfig(**parsed)
+    _check_config(config, f"{path}")
     return config
 
 
-def _check_feasible(config: ExperimentConfig, where: str) -> None:
-    """Reject a config whose draws can ask for an impossible complete instance.
-
-    The hardest draw pairs the fewest tests with the most objects; when more
-    than one class can be drawn, its objects must all be told apart.
-    """
-    outcomes, fewest_tests = config.outcomes, config.tests[0]
+def _check_config(config: ExperimentConfig, where: str) -> None:
+    """Reject a config that some draw of the batch could not run."""
+    if config.count < 1:
+        raise ValueError(f"{where}: count must be positive")
+    if config.cost_mode not in COST_MODES:
+        raise ValueError(f"{where}: unknown cost mode {config.cost_mode!r}")
+    if config.prior_mode not in PRIOR_MODES:
+        raise ValueError(f"{where}: unknown prior mode {config.prior_mode!r}")
+    for key, floor in _RANGE_FLOORS:
+        low, high = getattr(config, key)
+        if low > high:
+            raise ValueError(f"{where}: {key}: empty range [{low}, {high}]")
+        if low < floor:
+            raise ValueError(f"{where}: {key}: must be at least {floor}, got {low}")
+    if config.outcomes < 2:
+        raise ValueError(f"{where}: outcomes: must be at least 2, got {config.outcomes}")
+    if any(r <= 0 for r in config.rho_grid):
+        raise ValueError(f"{where}: rho_grid: trade-offs must be positive")
+    if any(i < 1 for i in config.uniform_trade_offs):
+        raise ValueError(f"{where}: uniform_trade_offs: expected a list of positive integers")
     most_objects = config.objects[1]
-    if outcomes < 2 or fewest_tests < 1 or config.classes[1] < 2:
-        return  # the generator rejects the first two itself; one class needs no tests
+    if config.oracle_checks and most_objects > DP_OBJECT_LIMIT:
+        raise ValueError(
+            f"{where}: configured object count up to {most_objects} exceeds oracle cap "
+            f"({DP_OBJECT_LIMIT}); disable oracle_checks to generate larger instances"
+        )
+    # The hardest draw pairs the fewest tests with the most objects; when more
+    # than one class can be drawn, its objects must all be told apart.
     # outcomes ** most_objects.bit_length() > most_objects, so capping the
     # exponent there keeps the comparison and never builds a huge power.
+    outcomes, fewest_tests = config.outcomes, config.tests[0]
     reach = outcomes ** min(fewest_tests, most_objects.bit_length())
-    if reach < most_objects:
+    if config.classes[1] >= 2 and reach < most_objects:
         raise ValueError(
             f"{where}: {fewest_tests} tests with {outcomes} outcomes distinguish at "
             f"most {reach} objects, but up to {most_objects} objects of more than "
             "one class can be drawn; raise tests or lower objects"
         )
-
-
-def _save_replay(
-    config: ExperimentConfig,
-    inst: Instance,
-    check: str,
-    details: dict[str, Any],
-    trees: dict[str, DecisionTree],
-) -> str:
-    doc = {
-        "check": check,
-        "details": details,
-        "instance": instance_to_doc(inst),
-        "trees": {label: tree_to_doc(tree) for label, tree in sorted(trees.items())},
-    }
-    with open(config.replay_path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
-    return config.replay_path
 
 
 def _violate(
@@ -301,10 +284,61 @@ def _violate(
     check: str,
     details: dict[str, Any],
     trees: dict[str, DecisionTree],
-) -> None:
-    path = _save_replay(config, inst, check, details, trees)
+) -> NoReturn:
+    """Save the failing instance and trees to the replay file, then abort."""
+    doc = {
+        "check": check,
+        "details": details,
+        "instance": instance_to_doc(inst),
+        "trees": {label: tree_to_doc(tree) for label, tree in sorted(trees.items())},
+    }
+    _dump_document(doc, config.replay_path)
     summary = ", ".join(f"{k}={v}" for k, v in details.items())
-    raise BoundViolation(f"{check} failed on instance {inst.name!r}: {summary}", path)
+    raise BoundViolation(
+        f"{check} failed on instance {inst.name!r}: {summary}", config.replay_path
+    )
+
+
+def _check_caps(
+    config: ExperimentConfig,
+    inst: Instance,
+    inputs: tuple[DecisionTree, DecisionTree],
+    result: DecisionTree,
+    variant: str,
+    trade_off: Fraction,
+    worst_cap: Fraction,
+    expected_cap: Fraction,
+    worst_cap_applies: bool,
+) -> TradeOffOutcome:
+    """Price a spliced tree against its caps; a breach aborts with a replay.
+
+    ``inputs`` are the expected-cost and worst-case trees it was spliced from.
+    """
+    report = evaluate(result, inst)
+    outcome = TradeOffOutcome(
+        variant=variant,
+        trade_off=trade_off,
+        achieved_worst=report.worst,
+        achieved_expected=report.expected,
+        worst_cap=worst_cap,
+        expected_cap=expected_cap,
+        worst_cap_applies=worst_cap_applies,
+    )
+    if not outcome.worst_ok or not outcome.expected_ok:
+        _violate(
+            config,
+            inst,
+            f"{variant.replace('-', ' ')} caps",
+            {
+                "trade_off": format_rational(trade_off),
+                "worst": format_rational(report.worst),
+                "worst_cap": format_rational(worst_cap),
+                "expected": format_rational(report.expected),
+                "expected_cap": format_rational(expected_cap),
+            },
+            {"expected_tree": inputs[0], "worst_case_tree": inputs[1], "result": result},
+        )
+    return outcome
 
 
 def _has_flat_prices(inst: Instance) -> bool:
@@ -321,15 +355,11 @@ def run_experiment(
     """Run one batch; return its rows (and optionally write the table).
 
     Raises :class:`BoundViolation` the moment any exact bound check fails;
-    raises ValueError when the config asks for oracle checks on instances
-    beyond the solver's size cap or whose draws cannot all be complete.
+    raises ValueError, before the first draw, on a config that
+    :func:`load_config` would reject (say, oracle checks on instances beyond
+    the solver's size cap, or draws that cannot all be complete).
     """
-    if config.oracle_checks and config.objects[1] > DP_OBJECT_LIMIT:
-        raise ValueError(
-            f"configured object count up to {config.objects[1]} exceeds oracle cap "
-            f"({DP_OBJECT_LIMIT}); disable oracle_checks to generate larger instances"
-        )
-    _check_feasible(config, "config")
+    _check_config(config, "config")
     rng = random.Random(config.seed)
     rows: list[ExperimentRow] = []
     for index in range(config.count):
@@ -407,79 +437,34 @@ def run_experiment(
                     {},
                 )
 
+            inputs = (expected_result.tree, worst_result.tree)
             flat = _has_flat_prices(inst)
             for ratio in config.rho_grid:
-                spliced = combine_trees(
-                    expected_result.tree, worst_result.tree, ratio, inst
-                )
-                report = evaluate(spliced, inst)
-                outcome = TradeOffOutcome(
-                    variant="splice",
-                    trade_off=ratio,
-                    achieved_worst=report.worst,
-                    achieved_expected=report.expected,
-                    worst_cap=(1 + ratio) * best_worst,
-                    expected_cap=(1 + 1 / ratio) * best_expected,
-                    worst_cap_applies=flat,
-                )
-                trade_offs.append(outcome)
-                if not outcome.worst_ok or not outcome.expected_ok:
-                    _violate(
-                        config,
-                        inst,
-                        "splice caps",
-                        {
-                            "trade_off": format_rational(ratio),
-                            "worst": format_rational(report.worst),
-                            "worst_cap": format_rational(outcome.worst_cap),
-                            "expected": format_rational(report.expected),
-                            "expected_cap": format_rational(outcome.expected_cap),
-                        },
-                        {
-                            "expected_tree": expected_result.tree,
-                            "worst_case_tree": worst_result.tree,
-                            "result": spliced,
-                        },
+                spliced = combine_trees(*inputs, ratio, inst)
+                trade_offs.append(
+                    _check_caps(
+                        config, inst, inputs, spliced, "splice", ratio,
+                        worst_cap=(1 + ratio) * best_worst,
+                        expected_cap=(1 + 1 / ratio) * best_expected,
+                        worst_cap_applies=flat,
                     )
+                )
 
             if _has_unit_prices(inst) and best_worst >= 1:
                 reference = int(best_worst)
                 for factor in config.uniform_trade_offs:
                     numerator = factor * reference
-                    chosen = combine_uniform(
-                        expected_result.tree, worst_result.tree, numerator, inst
-                    )
-                    report = evaluate(chosen, inst)
+                    chosen = combine_uniform(*inputs, numerator, inst)
                     ratio = Fraction(factor)
-                    outcome = TradeOffOutcome(
-                        variant="uniform-sweep",
-                        trade_off=ratio,
-                        achieved_worst=report.worst,
-                        achieved_expected=report.expected,
-                        worst_cap=Fraction(numerator + reference),
-                        expected_cap=(1 + 2 / (ratio * ratio + 2 * ratio))
-                        * best_expected,
-                        worst_cap_applies=True,
-                    )
-                    trade_offs.append(outcome)
-                    if not outcome.worst_ok or not outcome.expected_ok:
-                        _violate(
-                            config,
-                            inst,
-                            "uniform sweep caps",
-                            {
-                                "trade_off": format_rational(ratio),
-                                "worst": format_rational(report.worst),
-                                "worst_cap": format_rational(outcome.worst_cap),
-                                "expected": format_rational(report.expected),
-                                "expected_cap": format_rational(outcome.expected_cap),
-                            },
-                            {
-                                "expected_tree": expected_result.tree,
-                                "worst_case_tree": worst_result.tree,
-                                "result": chosen,
-                            },
+                    trade_offs.append(
+                        _check_caps(
+                            config, inst, inputs, chosen, "uniform-sweep", ratio,
+                            worst_cap=Fraction(numerator + reference),
+                            expected_cap=(1 + 2 / (ratio * ratio + 2 * ratio))
+                            * best_expected,
+                            worst_cap_applies=True,
                         )
+                    )
 
         rows.append(
             ExperimentRow(

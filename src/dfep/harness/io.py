@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from fractions import Fraction
 from typing import Any, Union
 
@@ -44,10 +45,21 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
+# Fraction would also read decimals, exponents, spaces and underscores, and
+# expands an exponent in full: "1e999999999" would build a billion-digit int.
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(raw: Any, where: str) -> Fraction:
-    """Parse an int or a "p/q" string; ``where`` names the field in errors."""
+    """Parse an int or a "p/q" string; ``where`` names the field in errors.
+
+    A string is an optionally signed integer, or one over a positive
+    denominator written in digits: "3", "-2/6".
+    """
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
         raise ValueError(f"{where}: expected an integer or a 'p/q' string, got {raw!r}")
+    if isinstance(raw, str) and not _RATIONAL_TEXT.fullmatch(raw):
+        raise ValueError(f"{where}: not a rational: {raw!r} (expected digits or 'p/q')")
     try:
         return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:

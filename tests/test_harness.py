@@ -1,5 +1,6 @@
 """Generator, file formats, experiment runner, and the command-line tool."""
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 import dfep
 from dfep.harness.experiment import (
+    _CONFIG_READERS,
     BoundViolation,
     ExperimentConfig,
     load_config,
@@ -208,6 +210,11 @@ class TestRationalText:
             parse_rational(0.5, "x")
         with pytest.raises(ValueError, match="not a rational"):
             parse_rational("1/0", "x")
+        # Only digits and one '/': Fraction would read decimals and exponents,
+        # and would expand this exponent in full.
+        for text in ("0.5", "1e3", "1e999999999"):
+            with pytest.raises(ValueError, match=f"rho: not a rational: '{text}'"):
+                parse_rational(text, "rho")
 
 
 class TestInstanceFiles:
@@ -473,10 +480,60 @@ class TestExperimentConfig:
             ({"objects": [5, 2]}, "empty range"),
             ({"cost_mode": "free"}, "unknown cost mode"),
             ({"count": 0}, "count must be positive"),
+            # Strict JSON types: nothing is coerced.
+            ({"seed": None}, "seed: expected an integer, got None"),
+            ({"count": 1e400}, "count: expected an integer, got inf"),
+            ({"count": 2.7}, "count: expected an integer, got 2.7"),
+            ({"seed": "3"}, "seed: expected an integer, got '3'"),
+            ({"outcomes": True}, "outcomes: expected an integer, got True"),
+            ({"replay_path": 5}, "replay_path: expected a string, got 5"),
+            ({"cost_mode": None}, "cost_mode: expected a string"),
+            ({"objects": [2, 5.0]}, "objects: expected an integer or a \\[low, high\\]"),
+            ({"oracle_checks": 1}, "oracle_checks: expected true or false"),
+            ({"uniform_trade_offs": [1, "2"]}, "uniform_trade_offs\\[1\\]: expected an integer"),
+            ({"rho_grid": ["0.5"]}, "rho_grid\\[0\\]: not a rational"),
+            # Every bound a draw needs.
+            ({"objects": [1, 5]}, "objects: must be at least 2, got 1"),
+            ({"classes": [0, 3], "count": 40, "seed": 3}, "classes: must be at least 1"),
+            ({"tests": [0, 4]}, "tests: must be at least 1, got 0"),
+            ({"outcomes": 1}, "outcomes: must be at least 2, got 1"),
+            ({"cost_range": [0, 8]}, "cost_range: must be at least 1, got 0"),
+            ({"prior_mode": "skewed"}, "unknown prior mode"),
+            ({"objects": [2, 40], "tests": [6, 8]}, "exceeds oracle cap"),
         ]:
             path.write_text(json.dumps(doc))
             with pytest.raises(ValueError, match=pattern):
                 load_config(path)
+
+    def test_every_field_has_a_reader(self):
+        fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+        assert set(_CONFIG_READERS) == fields
+
+    def test_run_checks_the_config_before_the_first_draw(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(
+            "dfep.harness.experiment.generate",
+            lambda spec: draws.append(spec) or generate(spec),
+        )
+        for fields, pattern in [
+            ({"count": 0}, "count must be positive"),
+            ({"cost_mode": "free"}, "unknown cost mode"),
+            ({"objects": (5, 2)}, "objects: empty range"),
+            ({"objects": (1, 5)}, "objects: must be at least 2"),
+            ({"classes": (0, 3), "count": 40, "seed": 3}, "classes: must be at least 1"),
+            ({"tests": (0, 4)}, "tests: must be at least 1"),
+            ({"outcomes": 1}, "outcomes: must be at least 2"),
+            ({"cost_range": (0, 8)}, "cost_range: must be at least 1"),
+            ({"rho_grid": (Fraction(0),)}, "trade-offs must be positive"),
+            ({"uniform_trade_offs": (0,)}, "positive integers"),
+            ({"objects": (2, 40), "tests": (6, 8)}, "exceeds oracle cap"),
+            ({"objects": (3, 12), "tests": (3, 8)}, "distinguish at most 8 objects"),
+        ]:
+            with pytest.raises(ValueError, match=pattern):
+                run_experiment(ExperimentConfig(**fields))
+        assert draws == []
+        run_experiment(ExperimentConfig(count=2, objects=(3, 5)))
+        assert len(draws) == 2
 
 
     def test_infeasible_sizes_are_rejected_when_loaded(self, tmp_path):
@@ -676,6 +733,24 @@ class TestCommandLine:
         assert "distinguish at most 8 objects, but up to 12" in run.stderr
         assert not (tmp_path / "table.tsv").exists()
 
+    def test_bad_experiment_configs_exit_one_before_running(self, tmp_path):
+        for text, message in [
+            ('{"seed": null}', "seed: expected an integer, got None"),
+            ('{"count": 1e400}', "count: expected an integer, got inf"),
+            ('{"classes": [0, 3], "count": 40, "seed": 3}', "classes: must be at least 1"),
+            ('{"objects": [2, 40], "tests": [6, 8]}', "exceeds oracle cap (14)"),
+        ]:
+            (tmp_path / "config.json").write_text(text)
+            run = run_cli(
+                "experiment", "--config", "config.json", "-o", "table.tsv", cwd=tmp_path
+            )
+            assert run.returncode == 1
+            assert run.stdout == ""
+            assert run.stderr.startswith("error: config.json: ")
+            assert run.stderr.count("\n") == 1
+            assert message in run.stderr
+            assert not (tmp_path / "table.tsv").exists()
+
     def test_experiment_subcommand(self, tmp_path):
         (tmp_path / "config.json").write_text(
             json.dumps({"seed": 11, "count": 3, "objects": [3, 5]})
@@ -727,6 +802,10 @@ class TestCommandLine:
         (tmp_path / "deep-tree.json").write_text(text)
         write_instance(two_object_instance(), tmp_path / "inst.json")
         run = run_cli("eval", "deep-tree.json", "inst.json", cwd=tmp_path)
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr == "error: deep-tree.json: document nested too deeply\n"
+        run = run_cli("experiment", "--config", "deep-tree.json", cwd=tmp_path)
         assert run.returncode == 1
         assert run.stdout == ""
         assert run.stderr == "error: deep-tree.json: document nested too deeply\n"
