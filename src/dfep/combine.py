@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from dfep.model import (
     DecisionTree,
@@ -29,9 +29,9 @@ from dfep.model import (
     Internal,
     Leaf,
     RationalLike,
+    _restrict,
     as_fraction,
     evaluate,
-    restrict_tree,
     tree_objects,
 )
 
@@ -149,6 +149,30 @@ def _crosses(node: DecisionTree, path_cost: Fraction, threshold: Fraction, inst:
     )
 
 
+def _splice(
+    tree: DecisionTree, threshold: Fraction, inst: Instance, hand_over: Callable[..., DecisionTree]
+) -> DecisionTree:
+    """Copy ``tree``, putting ``hand_over(node, path)`` in place of each node
+    where the walk crosses ``threshold``; nodes are visited in pre-order,
+    ascending by outcome, and none below a handed-over node is visited."""
+    # Each entry copies ``node`` into ``slot[key]``.
+    root: dict[int, DecisionTree] = {}
+    stack = [(tree, Fraction(0), (), root, 0)]
+    while stack:
+        node, path_cost, path, slot, key = stack.pop()
+        if _crosses(node, path_cost, threshold, inst):
+            slot[key] = hand_over(node, path)
+        elif isinstance(node, Leaf):
+            slot[key] = node
+        else:
+            children: dict = dict.fromkeys(sorted(node.children))
+            slot[key] = Internal(test=node.test, children=children)
+            for i in reversed(children):
+                cost = path_cost + inst.cost(node.test, i)
+                stack.append((node.children[i], cost, path + (i,), children, i))
+    return root[0]
+
+
 def find_replaceable(
     tree: DecisionTree, inst: Instance, threshold: RationalLike
 ) -> list[tuple[int, ...]]:
@@ -161,23 +185,13 @@ def find_replaceable(
     leaf whose path cost reaches the threshold has exactly one returned
     ancestor-or-self.
     """
-    cap = as_fraction(threshold)
     frontier: list[tuple[int, ...]] = []
 
-    def walk(node: DecisionTree, path_cost: Fraction, path: tuple[int, ...]) -> None:
-        if _crosses(node, path_cost, cap, inst):
-            frontier.append(path)
-            return
-        if isinstance(node, Leaf):
-            return
-        for outcome in sorted(node.children):
-            walk(
-                node.children[outcome],
-                path_cost + inst.cost(node.test, outcome),
-                path + (outcome,),
-            )
+    def record(node: DecisionTree, path: tuple[int, ...]) -> DecisionTree:
+        frontier.append(path)
+        return node
 
-    walk(tree, Fraction(0), ())
+    _splice(tree, as_fraction(threshold), inst, record)
     return frontier
 
 
@@ -192,8 +206,8 @@ def combine_trees(
     The result follows ``expected_tree`` while the accumulated path cost
     stays under ``trade_off`` times the fallback's worst-case cost, then
     continues as the fallback restricted to the objects still alive.  If the
-    expected tree never reaches the threshold the result is ``expected_tree``
-    itself, unchanged.
+    expected tree never reaches the threshold the result is a copy of
+    ``expected_tree``.
 
     Every object's path gets at most the fallback's worst-case cost added on
     top of (a prefix of) its original path, which yields the expected-cost
@@ -206,23 +220,11 @@ def combine_trees(
     if scope != tree_objects(worst_case_tree):
         raise ValueError("the two trees cover different object sets")
 
-    def rebuild(node: DecisionTree, path_cost: Fraction) -> DecisionTree:
-        if _crosses(node, path_cost, params.threshold, inst):
-            return restrict_tree(worst_case_tree, tree_objects(node), inst)
-        if isinstance(node, Leaf):
-            return node
-        return Internal(
-            test=node.test,
-            children={
-                outcome: rebuild(
-                    node.children[outcome],
-                    path_cost + inst.cost(node.test, outcome),
-                )
-                for outcome in sorted(node.children)
-            },
-        )
+    def fallback(node: DecisionTree, _: tuple[int, ...]) -> DecisionTree:
+        # ``node`` holds a nonempty subset of ``scope``: restrict_tree's checks hold.
+        return _restrict(worst_case_tree, tree_objects(node), inst)
 
-    return rebuild(expected_tree, Fraction(0))
+    return _splice(expected_tree, params.threshold, inst, fallback)
 
 
 def combine_uniform(
@@ -252,16 +254,9 @@ def combine_uniform(
             f"fallback tree needs a positive integer worst-case cost, got {reference}"
         )
     params = UniformCombineParams.resolve(int(reference), operator.index(rho_numerator))
-    best: tuple[Fraction, DecisionTree] | None = None
-    for numerator in params.window():
-        candidate = combine_trees(
-            expected_tree,
-            worst_case_tree,
-            Fraction(numerator, params.worst_reference),
-            inst,
-        )
-        expected = evaluate(candidate, inst).expected
-        if best is None or expected < best[0]:
-            best = (expected, candidate)
-    assert best is not None
-    return best[1]
+    candidates = (
+        combine_trees(expected_tree, worst_case_tree, Fraction(i, params.worst_reference), inst)
+        for i in params.window()
+    )
+    # ``min`` keeps the first of equal keys, so ties go to the smallest numerator.
+    return min(candidates, key=lambda tree: evaluate(tree, inst).expected)

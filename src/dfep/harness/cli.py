@@ -9,7 +9,6 @@ failure, 2 usage errors.  All output is deterministic given the inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
@@ -18,6 +17,7 @@ from dfep.greedy import divide_pairs
 from dfep.harness.experiment import BoundViolation, load_config, run_experiment, write_table
 from dfep.harness.generate import COST_MODES, PRIOR_MODES, GeneratorSpec, generate
 from dfep.harness.io import (
+    _encode_document,
     export_dot,
     format_rational,
     instance_to_doc,
@@ -28,14 +28,30 @@ from dfep.harness.io import (
     write_instance,
     write_tree,
 )
-from dfep.model import DecisionTree, evaluate, validate_instance
+from dfep.model import (
+    DecisionTree,
+    Instance,
+    evaluate,
+    tree_objects,
+    validate_instance,
+    validate_tree,
+)
 from dfep.oracle import opt_expected, opt_worst, pareto_frontier
 
 __all__ = ["build_parser", "main"]
 
 
 def _emit_json(doc: object) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(_encode_document(doc, "stdout"))
+
+
+def _read_tree(path: str, inst: Instance) -> DecisionTree:
+    """Read a tree file that must be a valid tree for its objects in ``inst``."""
+    tree = read_tree(path)
+    problems = validate_tree(tree, tree_objects(tree), inst)
+    if problems:
+        raise ValueError(f"{path}: invalid tree: {problems[0]}")
+    return tree
 
 
 def _emit_tree(tree: DecisionTree, output: str | None) -> None:
@@ -92,8 +108,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_combine(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
-    low_expected = read_tree(args.de)
-    low_worst = read_tree(args.dw)
+    low_expected = _read_tree(args.de, inst)
+    low_worst = _read_tree(args.dw, inst)
     ratio = parse_rational(args.rho, "--rho")
     tree = combine_trees(low_expected, low_worst, ratio, inst)
     _emit_tree(tree, args.output)
@@ -102,8 +118,8 @@ def _cmd_combine(args: argparse.Namespace) -> int:
 
 def _cmd_combine_uniform(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
-    low_expected = read_tree(args.de)
-    low_worst = read_tree(args.dw)
+    low_expected = _read_tree(args.de, inst)
+    low_worst = _read_tree(args.dw, inst)
     tree = combine_uniform(low_expected, low_worst, args.rho_num, inst)
     _emit_tree(tree, args.output)
     return 0
@@ -111,7 +127,7 @@ def _cmd_combine_uniform(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
-    report = evaluate(read_tree(args.tree), inst)
+    report = evaluate(_read_tree(args.tree, inst), inst)
     print(f"worst\t{format_rational(report.worst)}")
     print(f"expected\t{format_rational(report.expected)}")
     for s in sorted(report.per_object):
@@ -129,7 +145,7 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
-    export_dot(read_tree(args.tree), inst, args.output)
+    export_dot(_read_tree(args.tree, inst), inst, args.output)
     return 0
 
 

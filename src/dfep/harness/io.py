@@ -70,17 +70,29 @@ def _load_document(path: Pathish) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # Besides JSONDecodeError: Python's cap on the digits of an integer
+        # literal, and bytes that are not UTF-8.
         raise ValueError(f"{path}: malformed document: {exc}") from None
     except RecursionError:
         # The json parser recurses once per nesting level.
         raise ValueError(f"{path}: document nested too deeply") from None
 
 
+def _encode_document(doc: Any, where: str) -> str:
+    """The document's JSON text, indented by 2 and ending in a newline."""
+    try:
+        return json.dumps(doc, indent=2) + "\n"
+    except RecursionError:
+        # The json writer recurses once per nesting level, like the parser.
+        raise ValueError(f"{where}: document nested too deeply") from None
+
+
 def _dump_document(doc: Any, path: Pathish) -> None:
+    # Encoded first, so that a failure leaves an existing file as it was.
+    text = _encode_document(doc, f"{path}")
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
+        handle.write(text)
 
 
 def _expect_int(raw: Any, where: str) -> int:

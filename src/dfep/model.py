@@ -239,7 +239,9 @@ class Kernel:
         labels: dict[int, int] = {}
         for s, label in enumerate(inst.classes):
             labels[label] = labels.get(label, 0) | 1 << s
-        scale = lcm(*(c.denominator for row in inst.cost_table for c in row))
+        # From a set, whose size is known: CPython keeps a tuple unpacked from a
+        # generator of over ten items in a free list until a full collection.
+        scale = lcm(*{c.denominator for row in inst.cost_table for c in row})
         return cls(
             outcome_masks=tuple(outcome_masks),
             class_masks=tuple(labels[label] for label in sorted(labels)),
@@ -580,26 +582,29 @@ def restrict_tree(tree: DecisionTree, keep: Iterable[int], inst: Instance) -> De
     if not wanted <= root_objects:
         missing = sorted(wanted - root_objects)
         raise ValueError(f"objects {missing} are not in the tree")
+    return _restrict(tree, wanted, inst)
 
-    def shrink(node: DecisionTree, survivors: frozenset[int]) -> DecisionTree:
-        labels = {inst.classes[s] for s in survivors}
+
+def _restrict(tree: DecisionTree, survivors: frozenset[int], inst: Instance) -> DecisionTree:
+    """:func:`restrict_tree` on a valid tree, for callers that made its checks."""
+    # Each entry routes ``alive`` down ``node`` into ``slot[key]``.
+    root: dict[int, DecisionTree] = {}
+    stack = [(tree, survivors, root, 0)]
+    while stack:
+        node, alive, slot, key = stack.pop()
+        labels = {inst.classes[s] for s in alive}
         if len(labels) == 1:
-            return Leaf(class_id=labels.pop(), objects=survivors)
+            slot[key] = Leaf(class_id=labels.pop(), objects=alive)
+            continue
         # Mixed classes, so the node cannot be a leaf (leaf sets are
         # homogeneous and stay that way under subsetting).
         assert isinstance(node, Internal)
-        live: list[tuple[int, DecisionTree, frozenset[int]]] = []
-        for outcome in sorted(node.children):
-            child = node.children[outcome]
-            child_survivors = tree_objects(child) & survivors
-            if child_survivors:
-                live.append((outcome, child, child_survivors))
-        if len(live) == 1:
-            _, child, child_survivors = live[0]
-            return shrink(child, child_survivors)
-        return Internal(
-            test=node.test,
-            children={outcome: shrink(child, surv) for outcome, child, surv in live},
-        )
-
-    return shrink(tree, wanted)
+        buckets = partition(alive, node.test, inst)
+        if len(buckets) == 1:
+            [(outcome, alive)] = buckets.items()
+            stack.append((node.children[outcome], alive, slot, key))
+            continue
+        children: dict = dict.fromkeys(buckets)
+        slot[key] = Internal(test=node.test, children=children)
+        stack.extend((node.children[i], bucket, children, i) for i, bucket in buckets.items())
+    return root[0]

@@ -156,7 +156,8 @@ def _recurse(
 
 def _weigher(inst: Instance) -> tuple[Callable[[int], int], int]:
     """The prior mass of a subset times ``scale``, an integer, and that scale."""
-    scale = lcm(*(p.denominator for p in inst.priors))
+    # From a set, not a generator, as in ``Kernel.of``.
+    scale = lcm(*{p.denominator for p in inst.priors})
     weights = [p.numerator * (scale // p.denominator) for p in inst.priors]
 
     def weigh(mask: int) -> int:

@@ -6,8 +6,10 @@ re-walking trees with a hand-rolled recursion, and the reference greedy
 scores with ``Fraction`` over frozenset partitions instead of the library's
 bitmask kernel.  The reference oracle does the same for the exact optima, and
 finds the frontier by probing a budgeted DP at every realizable path cost
-instead of merging per-subset Pareto sets.  Agreement between these and the
-library is then evidence, not tautology.
+instead of merging per-subset Pareto sets.  The reference splice recurses
+and finds each child's surviving objects from the child's leaves, where the
+library routes them through the node's test on an explicit stack.  Agreement
+between these and the library is then evidence, not tautology.
 
 Property tests run under the ``dfep`` hypothesis profile registered here:
 derandomized, so every run draws the same examples, with no deadline and a
@@ -33,10 +35,12 @@ from dfep.model import (
     Instance,
     Internal,
     Leaf,
+    as_fraction,
     evaluate,
     pair_count,
     partition,
     separated_pairs,
+    tree_objects,
 )
 
 settings.register_profile(
@@ -319,6 +323,111 @@ def reference_frontier(members: frozenset[int], inst: Instance) -> list[tuple]:
         if value == unconstrained:
             break
     return points
+
+
+def reference_restrict_tree(tree: DecisionTree, keep, inst: Instance) -> DecisionTree:
+    """Projection onto ``keep`` by plain recursion, each child's survivors
+    found as its leaves' objects; raises like the library."""
+    wanted = frozenset(keep)
+    if not wanted:
+        raise ValueError("cannot restrict a tree to an empty object set")
+    root_objects = tree_objects(tree)
+    if not wanted <= root_objects:
+        missing = sorted(wanted - root_objects)
+        raise ValueError(f"objects {missing} are not in the tree")
+
+    def shrink(node: DecisionTree, survivors: frozenset[int]) -> DecisionTree:
+        labels = {inst.classes[s] for s in survivors}
+        if len(labels) == 1:
+            return Leaf(class_id=labels.pop(), objects=survivors)
+        live = []
+        for outcome in sorted(node.children):
+            child = node.children[outcome]
+            child_survivors = tree_objects(child) & survivors
+            if child_survivors:
+                live.append((outcome, child, child_survivors))
+        if len(live) == 1:
+            return shrink(live[0][1], live[0][2])
+        return Internal(
+            test=node.test,
+            children={outcome: shrink(child, surv) for outcome, child, surv in live},
+        )
+
+    return shrink(tree, wanted)
+
+
+def _reference_crosses(node: DecisionTree, path_cost: Fraction, threshold: Fraction, inst) -> bool:
+    """Hand over at a path cost that reached the threshold, or where every
+    onward branch would strictly overshoot it."""
+    if path_cost >= threshold:
+        return True
+    return isinstance(node, Internal) and (
+        path_cost + min(inst.cost(node.test, i) for i in node.children) > threshold
+    )
+
+
+def reference_find_replaceable(tree: DecisionTree, inst: Instance, threshold) -> list:
+    """The hand-over paths, by a recursive pre-order walk."""
+    cap = as_fraction(threshold)
+    frontier: list[tuple[int, ...]] = []
+
+    def walk(node: DecisionTree, path_cost: Fraction, path: tuple[int, ...]) -> None:
+        if _reference_crosses(node, path_cost, cap, inst):
+            frontier.append(path)
+        elif isinstance(node, Internal):
+            for outcome in sorted(node.children):
+                cost = path_cost + inst.cost(node.test, outcome)
+                walk(node.children[outcome], cost, path + (outcome,))
+
+    walk(tree, Fraction(0), ())
+    return frontier
+
+
+def reference_combine_trees(
+    expected_tree: DecisionTree, worst_case_tree: DecisionTree, trade_off, inst: Instance
+) -> DecisionTree:
+    """The splice by a recursive rebuild that restricts the fallback through
+    :func:`reference_restrict_tree` at every hand-over."""
+    ratio = as_fraction(trade_off)
+    if ratio <= 0:
+        raise ValueError(f"trade-off must be positive, got {ratio}")
+    threshold = ratio * evaluate(worst_case_tree, inst).worst
+    if tree_objects(expected_tree) != tree_objects(worst_case_tree):
+        raise ValueError("the two trees cover different object sets")
+
+    def rebuild(node: DecisionTree, path_cost: Fraction) -> DecisionTree:
+        if _reference_crosses(node, path_cost, threshold, inst):
+            return reference_restrict_tree(worst_case_tree, tree_objects(node), inst)
+        if isinstance(node, Leaf):
+            return node
+        return Internal(
+            test=node.test,
+            children={
+                outcome: rebuild(
+                    node.children[outcome], path_cost + inst.cost(node.test, outcome)
+                )
+                for outcome in sorted(node.children)
+            },
+        )
+
+    return rebuild(expected_tree, Fraction(0))
+
+
+def tree_signature(tree: DecisionTree) -> list[tuple]:
+    """The tree as a flat pre-order list, ascending by outcome: a leaf is
+    ``("leaf", class, objects)`` and an internal node ``("test", test,
+    outcomes)``.  Equal trees have equal signatures, and comparing two
+    signatures does not recurse once per level as ``==`` on trees does."""
+    out: list[tuple] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            out.append(("leaf", node.class_id, tuple(sorted(node.objects))))
+        else:
+            out.append(("test", node.test, tuple(sorted(node.children))))
+            stack.extend(node.children[i] for i in sorted(node.children, reverse=True))
+    return out
 
 
 def deep_chain(n: int = 1100) -> tuple[Instance, DecisionTree]:

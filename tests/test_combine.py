@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dfep.combine import (
     CombineParams,
@@ -15,16 +17,26 @@ from dfep.combine import (
     find_replaceable,
     subtree_at,
 )
+from dfep.greedy import divide_pairs
 from dfep.model import (
     Instance,
     Internal,
     Leaf,
     evaluate,
+    restrict_tree,
     tree_objects,
     validate_tree,
 )
 from dfep.oracle import enumerate_trees, opt_expected, opt_worst
-from tests.conftest import random_complete_instance
+from tests.conftest import (
+    deep_chain,
+    random_complete_instance,
+    reference_combine_trees,
+    reference_find_replaceable,
+    reference_restrict_tree,
+    result_or_error,
+    tree_signature,
+)
 
 
 def caterpillar() -> tuple[Instance, Internal]:
@@ -406,3 +418,144 @@ class TestCombineUniform:
             report = evaluate(chosen, inst)
             assert report.worst <= 3 * reference
             assert report.expected <= Fraction(5, 4) * evaluate(low_expected, inst).expected
+
+
+BUILDERS = {
+    "greedy": divide_pairs,
+    "opt-worst": lambda members, inst: opt_worst(members, inst).tree,
+    "opt-expected": lambda members, inst: opt_expected(members, inst).tree,
+}
+
+
+@st.composite
+def splice_cases(draw):
+    """A small instance with random priors, an object subset, and two input
+    trees over that subset, each from the greedy or from an exact solver.
+
+    Costs are "p/q" strings with assorted denominators; draws whose subset
+    the tests cannot resolve are rejected.
+    """
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 8))
+    num_tests = draw(st.integers(2, 6))
+    classes = [0, 1] + draw(st.lists(st.integers(0, 3), min_size=n - 2, max_size=n - 2))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(1, k), min_size=n, max_size=n),
+            min_size=num_tests,
+            max_size=num_tests,
+        )
+    )
+    price = st.builds("{}/{}".format, st.integers(1, 12), st.integers(1, 7))
+    mode = draw(st.sampled_from(["unit", "fixed", "value"]))
+    if mode == "unit":
+        costs = None
+    elif mode == "fixed":
+        costs = draw(st.lists(price, min_size=num_tests, max_size=num_tests))
+    else:
+        costs = draw(
+            st.lists(
+                st.lists(price, min_size=k, max_size=k),
+                min_size=num_tests,
+                max_size=num_tests,
+            )
+        )
+    weights = draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
+    priors = [Fraction(w, sum(weights)) for w in weights]
+    inst = Instance.create(classes, rows, priors=priors, costs=costs, num_outcomes=k)
+    members = draw(
+        st.one_of(
+            st.just(frozenset(range(n))),
+            st.frozensets(st.integers(0, n - 1), min_size=1),
+        )
+    )
+    trees = []
+    for _ in ("expected", "worst"):
+        built = result_or_error(BUILDERS[draw(st.sampled_from(sorted(BUILDERS)))], members, inst)
+        assume(built[0] == "ok")
+        trees.append(built[1])
+    return inst, members, trees[0], trees[1]
+
+
+def node_path_costs(tree, inst) -> set[Fraction]:
+    """The path cost of every node, the root's 0 included."""
+    costs, stack = set(), [(tree, Fraction(0))]
+    while stack:
+        node, cost = stack.pop()
+        costs.add(cost)
+        if isinstance(node, Internal):
+            stack.extend(
+                (child, cost + inst.cost(node.test, i)) for i, child in node.children.items()
+            )
+    return costs
+
+
+class TestMatchesRecursiveReference:
+    @settings(max_examples=400)
+    @given(splice_cases(), st.data())
+    def test_restrictions_frontiers_splices_and_sweeps(self, case, data):
+        inst, members, low_expected, low_worst = case
+        for tree in (low_expected, low_worst):
+            for keep in (
+                members,
+                data.draw(st.frozensets(st.sampled_from(sorted(members)), min_size=1)),
+                frozenset(),
+                frozenset(inst.objects) - members,
+            ):
+                assert result_or_error(restrict_tree, tree, keep, inst) == result_or_error(
+                    reference_restrict_tree, tree, keep, inst
+                )
+        reference = evaluate(low_worst, inst).worst
+        average = evaluate(low_expected, inst).expected
+        ratios = data.draw(
+            st.lists(st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)), min_size=1)
+        )
+        # Thresholds equal to the path costs that occur in the tree are the
+        # ties where ``>=`` and ``>`` in the crossing rule decide.
+        path_costs = sorted(node_path_costs(low_expected, inst))
+        for threshold in path_costs + [ratio * reference for ratio in ratios]:
+            assert find_replaceable(low_expected, inst, threshold) == reference_find_replaceable(
+                low_expected, inst, threshold
+            )
+        if reference > 0:
+            ratios += [cost / reference for cost in path_costs if cost > 0]
+        flat = all(len(set(row)) == 1 for row in inst.cost_table)
+        for ratio in ratios:
+            spliced = combine_trees(low_expected, low_worst, ratio, inst)
+            assert spliced == reference_combine_trees(low_expected, low_worst, ratio, inst)
+            assert validate_tree(spliced, members, inst) == []
+            report = evaluate(spliced, inst)
+            assert report.expected <= (1 + 1 / ratio) * average
+            if flat:
+                assert report.worst <= (1 + ratio) * reference
+        if all(cost == 1 for row in inst.cost_table for cost in row) and reference >= 1:
+            numerator = data.draw(st.integers(1, 3 * int(reference)))
+            window = UniformCombineParams.resolve(int(reference), numerator).window()
+            candidates = [
+                reference_combine_trees(low_expected, low_worst, Fraction(i, reference), inst)
+                for i in window
+            ]
+            scores = [evaluate(tree, inst).expected for tree in candidates]
+            assert combine_uniform(low_expected, low_worst, numerator, inst) == candidates[
+                scores.index(min(scores))
+            ]
+
+
+class TestDeepTrees:
+    # The chain of ``deep_chain`` is 1,099 tests deep, past the default
+    # recursion limit; trees are compared by flat signature, since ``==``
+    # recurses once per level.
+    def test_frontier_on_a_chain_deeper_than_the_recursion_limit(self):
+        inst, tree = deep_chain(1100)
+        assert find_replaceable(tree, inst, 1000) == [(1,) * 1000, (1,) * 999 + (2,)]
+        assert find_replaceable(tree, inst, 2000) == []
+
+    def test_splice_on_a_chain_deeper_than_the_recursion_limit(self):
+        inst, tree = deep_chain(1100)
+        # The hand-over happens 549 levels down, where the threshold 1099/2
+        # lies less than one edge ahead, and hands the 551 objects still
+        # alive to the fallback restricted to them: the same chain again.
+        assert find_replaceable(tree, inst, Fraction(1099, 2)) == [(1,) * 549]
+        spliced = combine_trees(tree, tree, Fraction(1, 2), inst)
+        assert tree_signature(spliced) == tree_signature(tree)
+        assert validate_tree(spliced, inst.objects, inst) == []

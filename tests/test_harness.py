@@ -16,6 +16,7 @@ from dfep.harness.experiment import (
     run_experiment,
     write_table,
 )
+from dfep.harness.cli import _emit_json
 from dfep.harness.generate import GeneratorSpec, generate
 from dfep.harness.io import (
     _tree_from_doc,
@@ -383,6 +384,18 @@ class TestTreeFiles:
             f'  n0 -> n{2 * n - 2} [label="outcome=2, cost=1"];',
             "}",
         ]
+
+    def test_too_deep_to_write_leaves_an_existing_file_alone(self, tmp_path, capsys):
+        # The json writer, like the parser, recurses once per nesting level.
+        _, tree = deep_chain(1100)
+        path = tmp_path / "tree.json"
+        path.write_text("old contents\n")
+        with pytest.raises(ValueError, match=r"tree\.json: document nested too deeply$"):
+            write_tree(tree, path)
+        assert path.read_text() == "old contents\n"
+        with pytest.raises(ValueError, match="^stdout: document nested too deeply$"):
+            _emit_json(tree_to_doc(tree))
+        assert capsys.readouterr().out == ""
 
 
 class TestExportDot:
@@ -809,6 +822,50 @@ class TestCommandLine:
         assert run.returncode == 1
         assert run.stdout == ""
         assert run.stderr == "error: deep-tree.json: document nested too deeply\n"
+
+    def test_over_long_integer_literal_names_the_file(self, tmp_path):
+        # Python refuses to convert an integer literal of over 4,300 digits.
+        digits = "1" * 5000
+        (tmp_path / "config.json").write_text(f'{{"seed": {digits}}}')
+        (tmp_path / "inst.json").write_text(f'{{"num_outcomes": {digits}}}')
+        for argv in (["experiment", "--config", "config.json"], ["validate", "inst.json"]):
+            run = run_cli(*argv, cwd=tmp_path)
+            assert run.returncode == 1
+            assert run.stdout == ""
+            assert run.stderr.startswith(f"error: {argv[-1]}: malformed document: ")
+            assert run.stderr.count("\n") == 1
+
+    def test_invalid_tree_files_exit_one(self, tmp_path):
+        # Classes 0, 0, 1; test 0 splits {0} from {1, 2}, test 1 {0, 1} from {2}.
+        inst = Instance.create(classes=[0, 0, 1], outcomes=[[1, 2, 2], [1, 1, 2]])
+        write_instance(inst, tmp_path / "inst.json")
+        good = Internal(1, {1: Leaf(0, frozenset({0, 1})), 2: Leaf(1, frozenset({2}))})
+        write_tree(good, tmp_path / "good.json")
+        bad = {
+            "mixed.json": (
+                Internal(0, {1: Leaf(0, frozenset({0})), 2: Leaf(1, frozenset({1, 2}))}),
+                "root.2: leaf not homogeneous (classes [0, 1])",
+            ),
+            "split.json": (
+                Internal(0, {1: Leaf(0, frozenset({0, 1})), 2: Leaf(1, frozenset({2}))}),
+                "root.1: leaf holds [0, 1] but should hold [0]",
+            ),
+        }
+        for name, (tree, violation) in bad.items():
+            write_tree(tree, tmp_path / name)
+            for argv in (
+                ["combine", "--rho", "1/2", "--de", "good.json", "--dw", name, "inst.json"],
+                ["combine", "--rho", "1/2", "--de", name, "--dw", "good.json", "inst.json"],
+                ["combine-uniform", "--rho-num", "1", "--de", "good.json", "--dw", name,
+                 "inst.json"],
+                ["eval", name, "inst.json"],
+                ["export-dot", name, "inst.json", "-o", "tree.dot"],
+            ):
+                run = run_cli(*argv, cwd=tmp_path)
+                assert run.returncode == 1, argv
+                assert run.stdout == ""
+                assert run.stderr == f"error: {name}: invalid tree: {violation}\n"
+        assert not (tmp_path / "tree.dot").exists()
 
     def test_usage_errors_exit_two(self, tmp_path):
         assert run_cli(cwd=tmp_path).returncode == 2

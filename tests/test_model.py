@@ -27,6 +27,7 @@ from tests.conftest import (
     deep_chain,
     path_costs_by_walking,
     random_complete_instance,
+    tree_signature,
 )
 
 
@@ -378,6 +379,19 @@ class TestRestrictTree:
             assert set(after) == set(keep)
             for s in keep:
                 assert after[s] <= before[s]
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        n = 1100
+        inst, tree = deep_chain(n)
+        # ``==`` on trees this deep would recurse, so compare flat signatures.
+        assert tree_signature(restrict_tree(tree, range(n), inst)) == tree_signature(tree)
+        # Keeping the even objects contracts every odd test, whose isolated
+        # object is gone; the last kept object ends the chain.
+        expected = Leaf(n - 2, frozenset({n - 2}))
+        for t in reversed(range(0, n - 2, 2)):
+            expected = Internal(t, {1: expected, 2: Leaf(t, frozenset({t}))})
+        out = restrict_tree(tree, range(0, n, 2), inst)
+        assert tree_signature(out) == tree_signature(expected)
 
 
 class TestTreeHelpers:
