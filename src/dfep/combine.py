@@ -29,7 +29,9 @@ from dfep.model import (
     Internal,
     Leaf,
     RationalLike,
+    _price,
     _restrict,
+    _scaled,
     as_fraction,
     evaluate,
     tree_objects,
@@ -131,45 +133,38 @@ def subtree_at(tree: DecisionTree, path: Sequence[int]) -> DecisionTree:
     return node
 
 
-def _cheapest_branch(node: Internal, inst: Instance) -> Fraction:
-    return min(inst.cost(node.test, outcome) for outcome in node.children)
-
-
-def _crosses(node: DecisionTree, path_cost: Fraction, threshold: Fraction, inst: Instance) -> bool:
-    """Should the walk stop at this node and hand over to the fallback tree?
-
-    Stop when the path cost has reached the threshold, or when it has not
-    but even the cheapest onward branch would strictly overshoot it — the
-    last moment a hand-over can happen at-or-under the threshold.
-    """
-    if path_cost >= threshold:
-        return True
-    return isinstance(node, Internal) and (
-        path_cost + _cheapest_branch(node, inst) > threshold
-    )
-
-
 def _splice(
     tree: DecisionTree, threshold: Fraction, inst: Instance, hand_over: Callable[..., DecisionTree]
 ) -> DecisionTree:
     """Copy ``tree``, putting ``hand_over(node, path)`` in place of each node
     where the walk crosses ``threshold``; nodes are visited in pre-order,
-    ascending by outcome, and none below a handed-over node is visited."""
+    ascending by outcome, and none below a handed-over node is visited.
+
+    The walk crosses where the path cost has reached the threshold, or where
+    it has not but even the cheapest onward branch would strictly overshoot
+    it — the last moment a hand-over can happen at-or-under the threshold.
+    """
+    scale, costs = _scaled(inst.cost_table)
+    # Path costs are integers times ``scale``, so a path reaches the
+    # threshold p/q where ``path * q >= p * scale``.
+    q, bar = threshold.denominator, threshold.numerator * scale
     # Each entry copies ``node`` into ``slot[key]``.
     root: dict[int, DecisionTree] = {}
-    stack = [(tree, Fraction(0), (), root, 0)]
+    stack = [(tree, 0, (), root, 0)]
     while stack:
         node, path_cost, path, slot, key = stack.pop()
-        if _crosses(node, path_cost, threshold, inst):
+        if path_cost * q >= bar:
             slot[key] = hand_over(node, path)
         elif isinstance(node, Leaf):
             slot[key] = node
+        elif (path_cost + min(costs[node.test][i - 1] for i in node.children)) * q > bar:
+            slot[key] = hand_over(node, path)
         else:
             children: dict = dict.fromkeys(sorted(node.children))
             slot[key] = Internal(test=node.test, children=children)
+            row = costs[node.test]
             for i in reversed(children):
-                cost = path_cost + inst.cost(node.test, i)
-                stack.append((node.children[i], cost, path + (i,), children, i))
+                stack.append((node.children[i], path_cost + row[i - 1], path + (i,), children, i))
     return root[0]
 
 
@@ -216,15 +211,21 @@ def combine_trees(
     cap ``(1 + trade_off)``.
     """
     params = CombineParams.resolve(worst_case_tree, trade_off, inst)
-    scope = tree_objects(expected_tree)
-    if scope != tree_objects(worst_case_tree):
+    return _splicer(expected_tree, worst_case_tree, inst)(params.threshold)
+
+
+def _splicer(
+    expected_tree: DecisionTree, worst_case_tree: DecisionTree, inst: Instance
+) -> Callable[[Fraction], DecisionTree]:
+    """The splice of the two trees at a given threshold, after the object-set check."""
+    if tree_objects(expected_tree) != tree_objects(worst_case_tree):
         raise ValueError("the two trees cover different object sets")
 
     def fallback(node: DecisionTree, _: tuple[int, ...]) -> DecisionTree:
-        # ``node`` holds a nonempty subset of ``scope``: restrict_tree's checks hold.
+        # ``node`` holds some of the fallback's objects: restrict_tree's checks hold.
         return _restrict(worst_case_tree, tree_objects(node), inst)
 
-    return _splice(expected_tree, params.threshold, inst, fallback)
+    return lambda threshold: _splice(expected_tree, threshold, inst, fallback)
 
 
 def combine_uniform(
@@ -248,15 +249,15 @@ def combine_uniform(
         for cost in inst.cost_table[t]:
             if cost != 1:
                 raise ValueError("the uniform variant requires unit costs")
-    reference = evaluate(worst_case_tree, inst).worst
-    if reference < 1 or reference.denominator != 1:
+    # Unit costs: path costs are integers at scale 1.
+    reference = max(_price(worst_case_tree, inst)[0].values(), default=0)
+    if reference < 1:
         raise ValueError(
             f"fallback tree needs a positive integer worst-case cost, got {reference}"
         )
-    params = UniformCombineParams.resolve(int(reference), operator.index(rho_numerator))
-    candidates = (
-        combine_trees(expected_tree, worst_case_tree, Fraction(i, params.worst_reference), inst)
-        for i in params.window()
-    )
+    params = UniformCombineParams.resolve(reference, operator.index(rho_numerator))
+    splice = _splicer(expected_tree, worst_case_tree, inst)
+    # The threshold ``Fraction(i, W) * W`` of trade-off i/W is ``i`` itself.
+    candidates = (splice(Fraction(i)) for i in params.window())
     # ``min`` keeps the first of equal keys, so ties go to the smallest numerator.
-    return min(candidates, key=lambda tree: evaluate(tree, inst).expected)
+    return min(candidates, key=lambda tree: _price(tree, inst)[1])

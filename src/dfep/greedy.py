@@ -38,7 +38,7 @@ from dfep.model import (
     Kernel,
     Leaf,
     _check_objects,
-    evaluate,
+    _price,
     mask_objects,
     objects_mask,
 )
@@ -272,14 +272,13 @@ def root_lower_bound(
         return Fraction(0)
     tree = _build(kernel, inst, group, include_empty_outcomes, None)
     assert isinstance(tree, Internal)
-    worst_outcome: int | None = None
-    worst_height: Fraction | None = None
-    for i in sorted(tree.children):
-        height = inst.cost(tree.test, i) + evaluate(tree.children[i], inst).worst
-        if worst_height is None or height > worst_height:
-            worst_height = height
-            worst_outcome = i
-    assert worst_outcome is not None
+    costs = kernel.costs[tree.test]
+    # Scaled integer heights; ``max`` sends ties to the smallest outcome.
+    heights = {
+        i: costs[i - 1] + max(_price(tree.children[i], inst)[0].values())
+        for i in sorted(tree.children)
+    }
+    worst_outcome = max(heights, key=heights.get)
     total = _pairs_in(parts)
     remaining = _pairs_in(parts, kernel.outcome_masks[tree.test][worst_outcome - 1])
     return Fraction(inst.cost(tree.test, worst_outcome) * total, total - remaining)

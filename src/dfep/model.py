@@ -239,18 +239,22 @@ class Kernel:
         labels: dict[int, int] = {}
         for s, label in enumerate(inst.classes):
             labels[label] = labels.get(label, 0) | 1 << s
-        # From a set, whose size is known: CPython keeps a tuple unpacked from a
-        # generator of over ten items in a free list until a full collection.
-        scale = lcm(*{c.denominator for row in inst.cost_table for c in row})
+        scale, costs = _scaled(inst.cost_table)
         return cls(
             outcome_masks=tuple(outcome_masks),
             class_masks=tuple(labels[label] for label in sorted(labels)),
-            costs=tuple(
-                tuple(c.numerator * (scale // c.denominator) for c in row)
-                for row in inst.cost_table
-            ),
+            costs=tuple(map(tuple, costs)),
             scale=scale,
         )
+
+
+def _scaled(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """The least common multiple of the denominators in ``rows``, and the rows
+    times it as integers: test prices from the cost table, object weights from the priors."""
+    # From a set, whose size is known: CPython keeps a tuple unpacked from a
+    # generator of over ten items in a free list until a full collection.
+    scale = lcm(*{x.denominator for row in rows for x in row})
+    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -428,9 +432,12 @@ def partition(objects: Iterable[int], test: int, inst: Instance) -> dict[int, fr
     ascending outcome order.
     """
     _check_test(test, inst)
-    members = _check_objects(objects, inst)
+    return _split(_check_objects(objects, inst), inst.outcome_table[test])
+
+
+def _split(members: Iterable[int], row: Sequence[int]) -> dict[int, frozenset[int]]:
+    """:func:`partition` of known objects by one test's row of outcomes."""
     buckets: dict[int, set[int]] = {}
-    row = inst.outcome_table[test]
     for s in members:
         buckets.setdefault(row[s], set()).add(s)
     return {outcome: frozenset(buckets[outcome]) for outcome in sorted(buckets)}
@@ -475,34 +482,46 @@ def evaluate(tree: DecisionTree, inst: Instance) -> CostReport:
     ``inst.cost(t, i)``; a single leaf therefore costs nothing.  Raises if the
     tree mentions a test or object the instance does not know.
     """
-    per_object: dict[int, Fraction] = {}
+    costs, expected, scale, weight_scale = _price(tree, inst)
+    shared = {cost: Fraction(cost, scale) for cost in set(costs.values())}
+    return CostReport(
+        worst=Fraction(max(costs.values(), default=0), scale),
+        expected=Fraction(expected, scale * weight_scale),
+        per_object={s: shared[cost] for s, cost in costs.items()},
+    )
+
+
+def _price(tree: DecisionTree, inst: Instance) -> tuple[dict[int, int], int, int, int]:
+    """:func:`evaluate` in integers, with its checks: each object's path cost
+    times ``scale`` in evaluate's order, the expected cost times ``scale *
+    weight_scale``, and the two scales."""
+    scale, costs = _scaled(inst.cost_table)
+    k, n = inst.num_outcomes, inst.num_objects
+    out: dict[int, int] = {}
     # Pre-order with ascending outcomes, on an explicit stack so that depth
     # is unbounded; each entry is (test, outcome) of the edge into ``node``.
-    stack: list[tuple[int | None, int, DecisionTree, Fraction]] = [
-        (None, 0, tree, Fraction(0))
-    ]
+    stack: list[tuple[int | None, int, DecisionTree, int]] = [(None, 0, tree, 0)]
     while stack:
         test, outcome, node, acc = stack.pop()
         if test is not None:
-            if not 1 <= outcome <= inst.num_outcomes:
-                raise ValueError(
-                    f"tree references outcome {outcome} outside 1..{inst.num_outcomes}"
-                )
-            acc += inst.cost(test, outcome)
+            if not 1 <= outcome <= k:
+                raise ValueError(f"tree references outcome {outcome} outside 1..{k}")
+            acc += costs[test][outcome - 1]
         if isinstance(node, Leaf):
             for s in node.objects:
-                if not 0 <= s < inst.num_objects:
+                if not 0 <= s < n:
                     raise ValueError(f"tree references unknown object {s}")
-                per_object[s] = acc
+                out[s] = acc
             continue
         _check_test(node.test, inst)
         stack.extend(
             (node.test, i, node.children[i], acc)
             for i in sorted(node.children, reverse=True)
         )
-    worst = max(per_object.values(), default=Fraction(0))
-    expected = sum((cost * inst.priors[s] for s, cost in per_object.items()), Fraction(0))
-    return CostReport(worst=worst, expected=expected, per_object=per_object)
+    weight_scale, (weights,) = _scaled((inst.priors,))
+    # Summed after the walk: an object in two leaves counts once, at its last.
+    expected = sum(cost * weights[s] for s, cost in out.items())
+    return out, expected, scale, weight_scale
 
 
 def validate_tree(tree: DecisionTree, objects: Iterable[int], inst: Instance) -> list[str]:
@@ -582,11 +601,12 @@ def restrict_tree(tree: DecisionTree, keep: Iterable[int], inst: Instance) -> De
     if not wanted <= root_objects:
         missing = sorted(wanted - root_objects)
         raise ValueError(f"objects {missing} are not in the tree")
-    return _restrict(tree, wanted, inst)
+    return _restrict(tree, _check_objects(wanted, inst), inst)
 
 
 def _restrict(tree: DecisionTree, survivors: frozenset[int], inst: Instance) -> DecisionTree:
-    """:func:`restrict_tree` on a valid tree, for callers that made its checks."""
+    """:func:`restrict_tree` after its checks.  Objects of two classes that
+    reach a leaf, or an outcome they take that has no branch, raise."""
     # Each entry routes ``alive`` down ``node`` into ``slot[key]``.
     root: dict[int, DecisionTree] = {}
     stack = [(tree, survivors, root, 0)]
@@ -596,10 +616,14 @@ def _restrict(tree: DecisionTree, survivors: frozenset[int], inst: Instance) -> 
         if len(labels) == 1:
             slot[key] = Leaf(class_id=labels.pop(), objects=alive)
             continue
-        # Mixed classes, so the node cannot be a leaf (leaf sets are
-        # homogeneous and stay that way under subsetting).
-        assert isinstance(node, Internal)
-        buckets = partition(alive, node.test, inst)
+        if isinstance(node, Leaf):
+            raise ValueError(f"invalid tree: a leaf gets objects {sorted(alive)} of mixed classes")
+        _check_test(node.test, inst)
+        # ``alive`` holds known objects, so the split checks none of them.
+        buckets = _split(alive, inst.outcome_table[node.test])
+        for i in buckets:
+            if i not in node.children:
+                raise ValueError(f"invalid tree: test {node.test} has no branch for outcome {i}")
         if len(buckets) == 1:
             [(outcome, alive)] = buckets.items()
             stack.append((node.children[outcome], alive, slot, key))

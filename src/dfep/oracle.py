@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter
 from typing import Any, Callable, Iterable
 
@@ -41,6 +40,7 @@ from dfep.model import (
     Kernel,
     Leaf,
     _check_objects,
+    _scaled,
     mask_objects,
     objects_mask,
 )
@@ -156,9 +156,7 @@ def _recurse(
 
 def _weigher(inst: Instance) -> tuple[Callable[[int], int], int]:
     """The prior mass of a subset times ``scale``, an integer, and that scale."""
-    # From a set, not a generator, as in ``Kernel.of``.
-    scale = lcm(*{p.denominator for p in inst.priors})
-    weights = [p.numerator * (scale // p.denominator) for p in inst.priors]
+    scale, (weights,) = _scaled((inst.priors,))
 
     def weigh(mask: int) -> int:
         total = 0

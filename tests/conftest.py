@@ -26,22 +26,24 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings
+from hypothesis import strategies as st
 
 import dfep
-from dfep.greedy import GreedyStep, GreedyTrace
+from dfep.greedy import GreedyStep, GreedyTrace, divide_pairs
 from dfep.model import (
+    CostReport,
     DecisionTree,
     Instance,
     Internal,
     Leaf,
     as_fraction,
-    evaluate,
     pair_count,
     partition,
     separated_pairs,
     tree_objects,
 )
+from dfep.oracle import opt_expected, opt_worst
 
 settings.register_profile(
     "dfep", derandomize=True, deadline=None, max_examples=150, database=None
@@ -123,6 +125,38 @@ def path_costs_by_walking(tree: DecisionTree, inst: Instance) -> dict[int, Fract
 
     collect(tree)
     return out
+
+
+def reference_evaluate(tree: DecisionTree, inst: Instance) -> CostReport:
+    """Path costs summed in ``Fraction``s on an explicit stack, checking each
+    edge's outcome, then each leaf's objects, then each node's test."""
+    per_object: dict[int, Fraction] = {}
+    stack: list[tuple[int | None, int, DecisionTree, Fraction]] = [
+        (None, 0, tree, Fraction(0))
+    ]
+    while stack:
+        test, outcome, node, acc = stack.pop()
+        if test is not None:
+            if not 1 <= outcome <= inst.num_outcomes:
+                raise ValueError(
+                    f"tree references outcome {outcome} outside 1..{inst.num_outcomes}"
+                )
+            acc += inst.cost(test, outcome)
+        if isinstance(node, Leaf):
+            for s in node.objects:
+                if not 0 <= s < inst.num_objects:
+                    raise ValueError(f"tree references unknown object {s}")
+                per_object[s] = acc
+            continue
+        if not 0 <= node.test < inst.num_tests:
+            raise ValueError(f"no such test: {node.test}")
+        stack.extend(
+            (node.test, i, node.children[i], acc)
+            for i in sorted(node.children, reverse=True)
+        )
+    worst = max(per_object.values(), default=Fraction(0))
+    expected = sum((cost * inst.priors[s] for s, cost in per_object.items()), Fraction(0))
+    return CostReport(worst=worst, expected=expected, per_object=per_object)
 
 
 def result_or_error(fn, *args, **kwargs):
@@ -208,7 +242,9 @@ def reference_root_lower_bound(
     buckets = partition(members, test, inst)
     heights = {
         i: inst.cost(test, i)
-        + evaluate(reference_divide_pairs(buckets[i], inst, include_empty), inst).worst
+        + reference_evaluate(
+            reference_divide_pairs(buckets[i], inst, include_empty), inst
+        ).worst
         for i in sorted(buckets)
     }
     worst = max(sorted(heights), key=lambda i: heights[i])
@@ -391,7 +427,7 @@ def reference_combine_trees(
     ratio = as_fraction(trade_off)
     if ratio <= 0:
         raise ValueError(f"trade-off must be positive, got {ratio}")
-    threshold = ratio * evaluate(worst_case_tree, inst).worst
+    threshold = ratio * reference_evaluate(worst_case_tree, inst).worst
     if tree_objects(expected_tree) != tree_objects(worst_case_tree):
         raise ValueError("the two trees cover different object sets")
 
@@ -428,6 +464,74 @@ def tree_signature(tree: DecisionTree) -> list[tuple]:
             out.append(("test", node.test, tuple(sorted(node.children))))
             stack.extend(node.children[i] for i in sorted(node.children, reverse=True))
     return out
+
+
+BUILDERS = {
+    "greedy": divide_pairs,
+    "opt-worst": lambda members, inst: opt_worst(members, inst).tree,
+    "opt-expected": lambda members, inst: opt_expected(members, inst).tree,
+}
+
+# Prior denominators for ``splice_cases(coprime_priors=True)``: distinct
+# primes, so no two priors but the last share a factor.
+PRIOR_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@st.composite
+def splice_cases(draw, coprime_priors: bool = False):
+    """A small instance with random priors, an object subset, and two input
+    trees over that subset, each from the greedy or from an exact solver.
+
+    Costs are "p/q" strings with assorted denominators; draws whose subset
+    the tests cannot resolve are rejected.  With ``coprime_priors`` all
+    priors but the last are ``a/p`` over distinct primes ``p``, and the last
+    makes the sum 1.
+    """
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 8))
+    num_tests = draw(st.integers(2, 6))
+    classes = [0, 1] + draw(st.lists(st.integers(0, 3), min_size=n - 2, max_size=n - 2))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(1, k), min_size=n, max_size=n),
+            min_size=num_tests,
+            max_size=num_tests,
+        )
+    )
+    price = st.builds("{}/{}".format, st.integers(1, 12), st.integers(1, 7))
+    mode = draw(st.sampled_from(["unit", "fixed", "value"]))
+    if mode == "unit":
+        costs = None
+    elif mode == "fixed":
+        costs = draw(st.lists(price, min_size=num_tests, max_size=num_tests))
+    else:
+        costs = draw(
+            st.lists(
+                st.lists(price, min_size=k, max_size=k),
+                min_size=num_tests,
+                max_size=num_tests,
+            )
+        )
+    if coprime_priors:
+        primes = draw(st.permutations(PRIOR_PRIMES))[: n - 1]
+        priors = [Fraction(draw(st.integers(1, 2)), p) for p in primes]
+        priors.append(1 - sum(priors))
+    else:
+        weights = draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
+        priors = [Fraction(w, sum(weights)) for w in weights]
+    inst = Instance.create(classes, rows, priors=priors, costs=costs, num_outcomes=k)
+    members = draw(
+        st.one_of(
+            st.just(frozenset(range(n))),
+            st.frozensets(st.integers(0, n - 1), min_size=1),
+        )
+    )
+    trees = []
+    for _ in ("expected", "worst"):
+        built = result_or_error(BUILDERS[draw(st.sampled_from(sorted(BUILDERS)))], members, inst)
+        assume(built[0] == "ok")
+        trees.append(built[1])
+    return inst, members, trees[0], trees[1]
 
 
 def deep_chain(n: int = 1100) -> tuple[Instance, DecisionTree]:

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfep.combine import (
@@ -32,9 +32,12 @@ from tests.conftest import (
     deep_chain,
     random_complete_instance,
     reference_combine_trees,
+    reference_evaluate,
     reference_find_replaceable,
     reference_restrict_tree,
     result_or_error,
+    run_python,
+    splice_cases,
     tree_signature,
 )
 
@@ -420,63 +423,6 @@ class TestCombineUniform:
             assert report.expected <= Fraction(5, 4) * evaluate(low_expected, inst).expected
 
 
-BUILDERS = {
-    "greedy": divide_pairs,
-    "opt-worst": lambda members, inst: opt_worst(members, inst).tree,
-    "opt-expected": lambda members, inst: opt_expected(members, inst).tree,
-}
-
-
-@st.composite
-def splice_cases(draw):
-    """A small instance with random priors, an object subset, and two input
-    trees over that subset, each from the greedy or from an exact solver.
-
-    Costs are "p/q" strings with assorted denominators; draws whose subset
-    the tests cannot resolve are rejected.
-    """
-    k = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(2, 8))
-    num_tests = draw(st.integers(2, 6))
-    classes = [0, 1] + draw(st.lists(st.integers(0, 3), min_size=n - 2, max_size=n - 2))
-    rows = draw(
-        st.lists(
-            st.lists(st.integers(1, k), min_size=n, max_size=n),
-            min_size=num_tests,
-            max_size=num_tests,
-        )
-    )
-    price = st.builds("{}/{}".format, st.integers(1, 12), st.integers(1, 7))
-    mode = draw(st.sampled_from(["unit", "fixed", "value"]))
-    if mode == "unit":
-        costs = None
-    elif mode == "fixed":
-        costs = draw(st.lists(price, min_size=num_tests, max_size=num_tests))
-    else:
-        costs = draw(
-            st.lists(
-                st.lists(price, min_size=k, max_size=k),
-                min_size=num_tests,
-                max_size=num_tests,
-            )
-        )
-    weights = draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
-    priors = [Fraction(w, sum(weights)) for w in weights]
-    inst = Instance.create(classes, rows, priors=priors, costs=costs, num_outcomes=k)
-    members = draw(
-        st.one_of(
-            st.just(frozenset(range(n))),
-            st.frozensets(st.integers(0, n - 1), min_size=1),
-        )
-    )
-    trees = []
-    for _ in ("expected", "worst"):
-        built = result_or_error(BUILDERS[draw(st.sampled_from(sorted(BUILDERS)))], members, inst)
-        assume(built[0] == "ok")
-        trees.append(built[1])
-    return inst, members, trees[0], trees[1]
-
-
 def node_path_costs(tree, inst) -> set[Fraction]:
     """The path cost of every node, the root's 0 included."""
     costs, stack = set(), [(tree, Fraction(0))]
@@ -535,7 +481,7 @@ class TestMatchesRecursiveReference:
                 reference_combine_trees(low_expected, low_worst, Fraction(i, reference), inst)
                 for i in window
             ]
-            scores = [evaluate(tree, inst).expected for tree in candidates]
+            scores = [reference_evaluate(tree, inst).expected for tree in candidates]
             assert combine_uniform(low_expected, low_worst, numerator, inst) == candidates[
                 scores.index(min(scores))
             ]
@@ -559,3 +505,63 @@ class TestDeepTrees:
         spliced = combine_trees(tree, tree, Fraction(1, 2), inst)
         assert tree_signature(spliced) == tree_signature(tree)
         assert validate_tree(spliced, inst.objects, inst) == []
+
+
+class TestMalformedFallback:
+    # The instance of ``test_invalid_tree_files_exit_one``: classes 0, 0, 1;
+    # test 0 splits {0} from {1, 2}, test 1 splits {0, 1} from {2}.
+    INST = Instance.create(classes=[0, 0, 1], outcomes=[[1, 2, 2], [1, 1, 2]])
+    # Test 0, then test 1 on {1, 2}: at threshold 1 it hands {1, 2} over.
+    EXPECTED = Internal(
+        0,
+        {
+            1: Leaf(0, frozenset({0})),
+            2: Internal(1, {1: Leaf(0, frozenset({1})), 2: Leaf(1, frozenset({2}))}),
+        },
+    )
+    MIXED = Internal(0, {1: Leaf(0, frozenset({0})), 2: Leaf(1, frozenset({1, 2}))})
+    MISSING = Internal(
+        0, {1: Leaf(0, frozenset({0, 1})), 2: Internal(1, {2: Leaf(1, frozenset({2}))})}
+    )
+    MIXED_ERROR = "invalid tree: a leaf gets objects [1, 2] of mixed classes"
+    MISSING_ERROR = "invalid tree: test 1 has no branch for outcome 1"
+
+    def test_mixed_leaf_is_named(self):
+        inst = self.INST
+        for call in (
+            lambda: restrict_tree(self.MIXED, [0, 1, 2], inst),
+            lambda: restrict_tree(self.MIXED, [1, 2], inst),
+            # Trade-off 1/4 hands every object over at the root.
+            lambda: combine_trees(self.EXPECTED, self.MIXED, Fraction(1, 4), inst),
+            lambda: combine_uniform(self.EXPECTED, self.MIXED, 1, inst),
+        ):
+            with pytest.raises(ValueError) as error:
+                call()
+            assert str(error.value) == self.MIXED_ERROR
+
+    def test_missing_branch_is_named(self):
+        inst = self.INST
+        for call in (
+            lambda: restrict_tree(self.MISSING, [0, 1, 2], inst),
+            lambda: restrict_tree(self.MISSING, [1, 2], inst),
+            lambda: combine_trees(self.EXPECTED, self.MISSING, Fraction(1, 4), inst),
+            lambda: combine_uniform(self.EXPECTED, self.MISSING, 1, inst),
+        ):
+            with pytest.raises(ValueError) as error:
+                call()
+            assert str(error.value) == self.MISSING_ERROR
+
+    def test_mixed_leaf_is_named_without_assertions(self, tmp_path):
+        # ``python -O`` strips assert statements, so the check must not be one.
+        script = (
+            "from dfep.model import Instance, Internal, Leaf, restrict_tree\n"
+            "inst = Instance.create(classes=[0, 0, 1], outcomes=[[1, 2, 2], [1, 1, 2]])\n"
+            "tree = Internal(0, {1: Leaf(0, frozenset({0})), 2: Leaf(1, frozenset({1, 2}))})\n"
+            "try:\n"
+            "    restrict_tree(tree, [0, 1, 2], inst)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        run = run_python("-O", "-c", script, cwd=tmp_path, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == self.MIXED_ERROR + "\n"

@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dfep.combine import combine_trees, combine_uniform
 from dfep.model import (
     Instance,
     Internal,
@@ -27,6 +30,9 @@ from tests.conftest import (
     deep_chain,
     path_costs_by_walking,
     random_complete_instance,
+    reference_evaluate,
+    result_or_error,
+    splice_cases,
     tree_signature,
 )
 
@@ -264,6 +270,62 @@ class TestEvaluate:
         assert list(report.per_object) == list(reversed(range(n)))
         assert report.worst == n - 1
         assert report.expected == Fraction((n - 1) * n // 2 + n - 1, n)
+
+    @settings(max_examples=300)
+    @given(st.booleans().flatmap(lambda coprime: splice_cases(coprime_priors=coprime)), st.data())
+    def test_matches_the_fraction_reference(self, case, data):
+        inst, _, low_expected, low_worst = case
+        trees = [low_expected, low_worst]
+        ratio = data.draw(st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)))
+        trees.append(combine_trees(low_expected, low_worst, ratio, inst))
+        reference = reference_evaluate(low_worst, inst).worst
+        if all(cost == 1 for row in inst.cost_table for cost in row) and reference >= 1:
+            numerator = data.draw(st.integers(1, 3 * int(reference)))
+            trees.append(combine_uniform(low_expected, low_worst, numerator, inst))
+        tree = data.draw(st.sampled_from(trees))
+        for _ in range(data.draw(st.integers(0, 3))):
+            tree = with_fault(tree, inst, data)
+        assert report_or_error(evaluate, tree, inst) == report_or_error(
+            reference_evaluate, tree, inst
+        )
+
+
+def report_or_error(fn, tree, inst):
+    """``("ok", (worst, expected, per_object items in order))``, or
+    ``("error", message)``; every cost must be a ``Fraction``."""
+    kind, out = result_or_error(fn, tree, inst)
+    if kind == "error":
+        return kind, out
+    costs = [out.worst, out.expected, *out.per_object.values()]
+    assert all(type(cost) is Fraction for cost in costs)
+    return kind, (out.worst, out.expected, list(out.per_object.items()))
+
+
+def with_fault(tree, inst, data):
+    """The tree with one drawn fault at a drawn node: an unknown test, an
+    outcome outside the alphabet, an unknown object, or an object that also
+    sits in another leaf (the last leaf in pre-order then wins)."""
+    fault = data.draw(st.sampled_from(["test", "outcome", "object", "twice"]))
+    to_leaf = fault in ("object", "twice")
+    everything, ancestors, node = tree_objects(tree), [], tree
+    while isinstance(node, Internal) and (to_leaf or not data.draw(st.booleans())):
+        outcome = data.draw(st.sampled_from(sorted(node.children)))
+        ancestors.append((node, outcome))
+        node = node.children[outcome]
+    if fault == "test":
+        test = data.draw(st.sampled_from([inst.num_tests, inst.num_tests + 3, -1]))
+        node = Internal(test, dict(node.children) if isinstance(node, Internal) else {1: node})
+    elif fault == "outcome":
+        outcome = data.draw(st.sampled_from([0, inst.num_outcomes + 1, -1]))
+        node = Internal(data.draw(st.sampled_from(inst.tests)), {outcome: node})
+    else:
+        others = sorted(everything - node.objects) or [min(node.objects)]
+        unknown = [inst.num_objects, inst.num_objects + 5, -1]
+        extra = data.draw(st.sampled_from(unknown if fault == "object" else others))
+        node = Leaf(node.class_id, node.objects | {extra})
+    for parent, outcome in reversed(ancestors):
+        node = Internal(parent.test, {**parent.children, outcome: node})
+    return node
 
 
 class TestValidateTree:
