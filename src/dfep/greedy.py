@@ -23,6 +23,14 @@ buckets are bitmask intersections, class histograms are popcounts, and scores
 are integer (numerator, denominator) pairs compared by cross-multiplication,
 so the choice is exactly the one the rational scores make.  A score becomes a
 ``Fraction`` only when it is returned or traced.
+
+Each node scores only the tests that split it.  On a node of two or more
+classes a test separates a pair exactly when it splits the node, and a test
+that does not split a node splits none of its descendants; so each child
+inherits its parent's splitting tests, minus the one chosen, in ascending
+order.  The tests dropped were unusable below, so ties still break toward the
+smallest id.  A bucket's resolved pairs depend only on its mask, so each node
+counts each distinct bucket once.
 """
 
 from __future__ import annotations
@@ -92,101 +100,87 @@ def _class_parts(kernel: Kernel, group: int) -> list[int]:
     return [part for part in (group & c for c in kernel.class_masks) if part]
 
 
-def _pairs(counts: list[int]) -> int:
-    """Separable pairs among objects with these per-class counts."""
-    size = sum(counts)
-    return (size * size - sum(c * c for c in counts)) // 2
-
-
 def _pairs_in(parts: list[int], mask: int = -1) -> int:
     """Separable pairs among the node's objects that ``mask`` keeps."""
-    return _pairs([(mask & part).bit_count() for part in parts])
+    counts = [(mask & part).bit_count() for part in parts]
+    return (sum(counts) ** 2 - sum(c * c for c in counts)) // 2
 
 
-def _score(
-    kernel: Kernel, parts: list[int], total: int, test: int, include_empty: bool
-) -> tuple[int, int] | None:
-    """Score of ``test`` on a node as ``(cost, pairs)``; None if it separates nothing.
-
-    The score is ``cost / (kernel.scale * pairs)``.  ``parts`` are the node's
-    class masks and ``total`` its separable pairs; the test is usable exactly
-    when its buckets keep fewer than ``total`` pairs between them.
-    """
-    num, den = 0, 1
-    kept = 0
-    for mask, cost in zip(kernel.outcome_masks[test], kernel.costs[test]):
-        counts = [(mask & part).bit_count() for part in parts]
-        if any(counts):
-            remaining = _pairs(counts)
-            kept += remaining
-        elif include_empty:
-            remaining = 0
-        else:
-            continue
-        if cost * den > num * (total - remaining):
-            num, den = cost, total - remaining
-    return None if kept == total else (num, den)
+def _incomplete(group: int) -> ValueError:
+    return ValueError(
+        f"objects {sorted(mask_objects(group))} hold more than one class but no "
+        "test separates them: incomplete instance"
+    )
 
 
 def _best(
-    kernel: Kernel, group: int, parts: list[int], include_empty: bool
-) -> tuple[int, int, int]:
-    """The lowest-scoring test on a mixed node, as ``(test, cost, pairs)``.
+    kernel: Kernel, group: int, parts: list[int], tests: Iterable[int], include_empty: bool
+) -> tuple[tuple[int, int, int] | None, list[int]]:
+    """The lowest-scoring of ``tests`` on a mixed node, and those that split it.
 
-    Only a strictly lower score replaces the incumbent, so ties go to the
-    smallest test id.
+    The lowest is ``(test, cost, pairs)`` for the score ``cost / (kernel.scale
+    * pairs)``, or None if no test splits; only a strictly lower score wins, so
+    ties go to the earliest test.  ``gains`` holds the pairs that answering
+    into each bucket seen on this node resolves.
     """
     total = _pairs_in(parts)
+    gains: dict[int, int] = {}
     best: tuple[int, int, int] | None = None
-    for test in range(len(kernel.costs)):
-        score = _score(kernel, parts, total, test, include_empty)
-        if score is not None and (best is None or score[0] * best[2] < best[1] * score[1]):
-            best = (test, *score)
-    if best is None:
-        raise ValueError(
-            f"objects {sorted(mask_objects(group))} hold more than one class but no "
-            "test separates them: incomplete instance"
-        )
-    return best
+    splitting: list[int] = []
+    for test in tests:
+        num, den = 0, 1
+        for mask, cost in zip(kernel.outcome_masks[test], kernel.costs[test]):
+            bucket = group & mask
+            if bucket == group:
+                break
+            if bucket:
+                gain = gains.get(bucket)
+                if gain is None:
+                    kept = bucket.bit_count() ** 2
+                    for part in parts:
+                        kept -= (bucket & part).bit_count() ** 2
+                    gain = gains[bucket] = total - kept // 2
+            elif include_empty:
+                gain = total
+            else:
+                continue
+            if cost * den > num * gain:
+                num, den = cost, gain
+        else:
+            splitting.append(test)
+            if best is None or num * best[2] < best[1] * den:
+                best = (test, num, den)
+    return best, splitting
 
 
 def _build(
-    kernel: Kernel,
-    inst: Instance,
-    group: int,
-    include_empty: bool,
-    trace: GreedyTrace | None,
+    kernel: Kernel, inst: Instance, group: int, include_empty: bool, trace: GreedyTrace | None
 ) -> DecisionTree:
     """The greedy tree over ``group``, built in pre-order on an explicit stack."""
     root: dict[int, DecisionTree] = {}
-    stack: list[tuple[int, dict[int, DecisionTree], int]] = [(group, root, 0)]
+    stack: list[tuple] = [(group, root, 0, range(len(kernel.costs)))]
     while stack:
-        group, slot, outcome = stack.pop()
+        group, slot, outcome, tests = stack.pop()
         parts = _class_parts(kernel, group)
         if len(parts) == 1:
             label = inst.classes[(group & -group).bit_length() - 1]
             slot[outcome] = Leaf(class_id=label, objects=mask_objects(group))
             continue
-        test, cost, pairs = _best(kernel, group, parts, include_empty)
-        buckets = [
-            (i, group & mask)
-            for i, mask in enumerate(kernel.outcome_masks[test], start=1)
-            if group & mask
-        ]
+        best, splitting = _best(kernel, group, parts, tests, include_empty)
+        if best is None:
+            raise _incomplete(group)
+        test, cost, pairs = best
+        masks = kernel.outcome_masks[test]
+        buckets = [(i, group & mask) for i, mask in enumerate(masks, start=1) if group & mask]
         if trace is not None:
-            trace.steps.append(
-                GreedyStep(
-                    objects=mask_objects(group),
-                    test=test,
-                    ratio=Fraction(cost, kernel.scale * pairs),
-                    pairs_before=_pairs_in(parts),
-                    pairs_after=tuple(_pairs_in(parts, bucket) for _, bucket in buckets),
-                )
-            )
+            ratio = Fraction(cost, kernel.scale * pairs)
+            before, after = _pairs_in(parts), tuple(_pairs_in(parts, b) for _, b in buckets)
+            trace.steps.append(GreedyStep(mask_objects(group), test, ratio, before, after))
         node = Internal(test=test, children={})
         slot[outcome] = node
+        splitting.remove(test)
         # Reversed, so that the lowest outcome is popped (and traced) first.
-        stack.extend((bucket, node.children, i) for i, bucket in reversed(buckets))
+        stack.extend((bucket, node.children, i, splitting) for i, bucket in reversed(buckets))
     return root[0]
 
 
@@ -208,9 +202,12 @@ def criterion_value(
     if not 0 <= test < inst.num_tests:
         raise ValueError(f"no such test: {test}")
     kernel = Kernel.of(inst)
-    parts = _class_parts(kernel, objects_mask(members))
-    score = _score(kernel, parts, _pairs_in(parts), test, include_empty_outcomes)
-    return None if score is None else Fraction(score[0], kernel.scale * score[1])
+    group = objects_mask(members)
+    parts = _class_parts(kernel, group)
+    if len(parts) == 1:
+        return None  # a split of a single-class set resolves no pairs
+    best, _ = _best(kernel, group, parts, [test], include_empty_outcomes)
+    return None if best is None else Fraction(best[1], kernel.scale * best[2])
 
 
 def select_test(
@@ -226,8 +223,10 @@ def select_test(
     parts = _class_parts(kernel, group)
     if len(parts) == 1:
         raise ValueError("object set holds a single class; no test is needed")
-    test, cost, pairs = _best(kernel, group, parts, include_empty_outcomes)
-    return test, Fraction(cost, kernel.scale * pairs)
+    best, _ = _best(kernel, group, parts, range(inst.num_tests), include_empty_outcomes)
+    if best is None:
+        raise _incomplete(group)
+    return best[0], Fraction(best[1], kernel.scale * best[2])
 
 
 def divide_pairs(

@@ -207,9 +207,10 @@ def read_instance(path: Pathish, *, validate: bool = True) -> Instance:
                 f"{where}: test {t} needs one outcome per object (0..{n - 1}); "
                 f"got {len(outcomes)}"
             )
-        outcome_table[t] = tuple(
-            _expect_int(o, f"{where}: outcomes[{s}]") for s, o in enumerate(outcomes)
-        )
+        # One type scan per row; a message is built only for an entry that is not a plain int.
+        for s in [s for s, o in enumerate(outcomes) if type(o) is not int]:
+            _expect_int(outcomes[s], f"{where}: outcomes[{s}]")
+        outcome_table[t] = tuple(outcomes)
 
     inst = Instance(
         classes=tuple(classes),  # type: ignore[arg-type]

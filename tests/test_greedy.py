@@ -73,6 +73,12 @@ class TestCriterionValue:
         assert criterion_value([0, 1], 0, inst) == 9
         assert criterion_value([0, 1], 0, inst, include_empty_outcomes=False) == 1
 
+    def test_split_of_a_single_class_set_scores_none(self):
+        # Test 0 splits {0, 1}, but both are class 0: no pair to resolve.
+        inst = Instance.create([0, 0, 1], [[1, 2, 1]])
+        assert criterion_value([0, 1], 0, inst) is None
+        assert criterion_value([0, 1], 0, inst, include_empty_outcomes=False) is None
+
     def test_partial_progress_shows_in_denominator(self):
         # Classes sized 2 and 1 give two separable pairs; the split below
         # resolves only one of them on its outcome-1 side.
@@ -292,15 +298,16 @@ class TestGuarantees:
 
 
 @st.composite
-def greedy_cases(draw):
-    """A small instance (maybe incomplete), an object subset, the empty switch.
+def greedy_cases(draw, objects=(2, 9), tests=(1, 6)):
+    """An instance (maybe incomplete), an object subset, the empty switch.
 
-    Costs are "p/q" strings with assorted denominators, so the kernel's
-    integer scaling over their least common multiple is exercised.
+    Object and test counts are drawn from the given ranges.  Costs are "p/q"
+    strings with assorted denominators, so the kernel's integer scaling over
+    their least common multiple is exercised.
     """
     k = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(2, 9))
-    num_tests = draw(st.integers(1, 6))
+    n = draw(st.integers(*objects))
+    num_tests = draw(st.integers(*tests))
     # Objects 0 and 1 differ in class, so the full set always needs a test.
     classes = [0, 1] + draw(st.lists(st.integers(0, 3), min_size=n - 2, max_size=n - 2))
     rows = draw(
@@ -334,6 +341,18 @@ def greedy_cases(draw):
     return inst, members, draw(st.booleans())
 
 
+def assert_builds_match(inst, members, empty):
+    """Trees, traces and root bounds equal the ``Fraction`` reference's."""
+    trace, expected_trace = GreedyTrace(), GreedyTrace()
+    assert result_or_error(
+        divide_pairs, members, inst, include_empty_outcomes=empty, trace=trace
+    ) == result_or_error(reference_divide_pairs, members, inst, empty, expected_trace)
+    assert trace.steps == expected_trace.steps
+    assert result_or_error(
+        root_lower_bound, members, inst, include_empty_outcomes=empty
+    ) == result_or_error(reference_root_lower_bound, members, inst, empty)
+
+
 class TestKernelMatchesFractionReference:
     @given(greedy_cases())
     def test_scores_choices_trees_traces_and_bounds(self, case):
@@ -345,14 +364,13 @@ class TestKernelMatchesFractionReference:
         assert result_or_error(
             select_test, members, inst, include_empty_outcomes=empty
         ) == result_or_error(reference_select_test, members, inst, empty)
-        trace, expected_trace = GreedyTrace(), GreedyTrace()
-        assert result_or_error(
-            divide_pairs, members, inst, include_empty_outcomes=empty, trace=trace
-        ) == result_or_error(reference_divide_pairs, members, inst, empty, expected_trace)
-        assert trace.steps == expected_trace.steps
-        assert result_or_error(
-            root_lower_bound, members, inst, include_empty_outcomes=empty
-        ) == result_or_error(reference_root_lower_bound, members, inst, empty)
+        assert_builds_match(inst, members, empty)
+
+    @given(greedy_cases(objects=(12, 24), tests=(6, 12)))
+    def test_deep_trees_traces_and_bounds(self, case):
+        # Larger sets grow trees several levels deep, where most tests have
+        # stopped splitting and each node scores only what it inherited.
+        assert_builds_match(*case)
 
 
 def call_depth() -> int:
