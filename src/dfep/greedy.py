@@ -46,6 +46,8 @@ from dfep.model import (
     Kernel,
     Leaf,
     _check_objects,
+    _check_test,
+    _incomplete,
     _price,
     mask_objects,
     objects_mask,
@@ -104,13 +106,6 @@ def _pairs_in(parts: list[int], mask: int = -1) -> int:
     """Separable pairs among the node's objects that ``mask`` keeps."""
     counts = [(mask & part).bit_count() for part in parts]
     return (sum(counts) ** 2 - sum(c * c for c in counts)) // 2
-
-
-def _incomplete(group: int) -> ValueError:
-    return ValueError(
-        f"objects {sorted(mask_objects(group))} hold more than one class but no "
-        "test separates them: incomplete instance"
-    )
 
 
 def _best(
@@ -199,8 +194,7 @@ def criterion_value(
     outcomes are charged against all of ``pairs(G)``.
     """
     members = _checked_members(objects, inst)
-    if not 0 <= test < inst.num_tests:
-        raise ValueError(f"no such test: {test}")
+    _check_test(test, inst)
     kernel = Kernel.of(inst)
     group = objects_mask(members)
     parts = _class_parts(kernel, group)

@@ -15,17 +15,17 @@ Every guarantee the library makes is then checked as an exact inequality:
 
 A violated bound is not logged and skipped: the offending instance, trees,
 and parameters are serialized to a replay file and the run aborts with
-:class:`BoundViolation`.  Row flags are exposed as properties recomputed
-from the stored rationals, so a saved table can never disagree with its own
-numbers.
+:class:`BoundViolation`.  The run aborts on the same row and outcome
+properties that the table prints, recomputed from the stored rationals, so
+a saved table can never disagree with its own numbers or with the checks.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any, NoReturn, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 from dfep.combine import combine_trees, combine_uniform
 from dfep.greedy import divide_pairs, root_lower_bound
@@ -43,7 +43,7 @@ from dfep.harness.io import (
     tree_to_doc,
 )
 from dfep.model import DecisionTree, Instance, evaluate, pair_count
-from dfep.oracle import DP_OBJECT_LIMIT, harmonic, opt_expected, opt_worst
+from dfep.oracle import DP_OBJECT_LIMIT, OracleResult, harmonic, opt_expected, opt_worst
 
 __all__ = [
     "BoundViolation",
@@ -278,6 +278,15 @@ def _check_config(config: ExperimentConfig, where: str) -> None:
         )
 
 
+def _text(value: Any) -> str:
+    """A table cell or replay detail: exact text, yes/no for a flag, "-" for none."""
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return format_rational(value) if isinstance(value, Fraction) else str(value)
+
+
 def _violate(
     config: ExperimentConfig,
     inst: Instance,
@@ -286,6 +295,7 @@ def _violate(
     trees: dict[str, DecisionTree],
 ) -> NoReturn:
     """Save the failing instance and trees to the replay file, then abort."""
+    details = {key: _text(value) for key, value in details.items()}
     doc = {
         "check": check,
         "details": details,
@@ -330,11 +340,11 @@ def _check_caps(
             inst,
             f"{variant.replace('-', ' ')} caps",
             {
-                "trade_off": format_rational(trade_off),
-                "worst": format_rational(report.worst),
-                "worst_cap": format_rational(worst_cap),
-                "expected": format_rational(report.expected),
-                "expected_cap": format_rational(expected_cap),
+                "trade_off": trade_off,
+                "worst": report.worst,
+                "worst_cap": worst_cap,
+                "expected": report.expected,
+                "expected_cap": expected_cap,
             },
             {"expected_tree": inputs[0], "worst_case_tree": inputs[1], "result": result},
         )
@@ -349,10 +359,94 @@ def _has_unit_prices(inst: Instance) -> bool:
     return all(c == 1 for row in inst.cost_table for c in row)
 
 
-def run_experiment(
-    config: ExperimentConfig, table_path: str | None = None
-) -> list[ExperimentRow]:
-    """Run one batch; return its rows (and optionally write the table).
+def _check_optima(
+    config: ExperimentConfig,
+    inst: Instance,
+    rng: random.Random,
+    row: ExperimentRow,
+    greedy_tree: DecisionTree,
+    worst_result: OracleResult,
+    expected_result: OracleResult,
+) -> tuple[TradeOffOutcome, ...]:
+    """Check every bound that needs the optima; a breach aborts with a replay.
+
+    The greedy checks read ``row``'s own flags.  Then the optima must not
+    grow on a random subset, and every splice and sweep must meet its caps,
+    whose outcomes are returned in table order.
+    """
+    best_worst, best_expected = worst_result.value, expected_result.value
+    # The harmonic cap and the root lower bound are proved for binary tests.
+    if inst.num_outcomes == 2:
+        if not row.greedy_within_cap:
+            _violate(
+                config,
+                inst,
+                "greedy harmonic cap",
+                {"achieved": row.greedy_worst, "cap": row.harmonic_cap},
+                {"greedy": greedy_tree, "optimal_worst": worst_result.tree},
+            )
+        if not row.lower_bound_ok:
+            _violate(
+                config,
+                inst,
+                "root lower bound",
+                {"lower_bound": row.lower_bound, "optimum": row.opt_worst},
+                {"optimal_worst": worst_result.tree},
+            )
+
+    subset = frozenset(s for s in inst.objects if rng.random() < 0.5)
+    if not subset:
+        subset = frozenset({min(inst.objects)})
+    sub_worst = opt_worst(subset, inst).value
+    sub_expected = opt_expected(subset, inst).value
+    if sub_worst > best_worst or sub_expected > best_expected:
+        _violate(
+            config,
+            inst,
+            "subset monotonicity",
+            {
+                "subset": ",".join(str(s) for s in sorted(subset)),
+                "subset_worst": sub_worst,
+                "full_worst": best_worst,
+                "subset_expected": sub_expected,
+                "full_expected": best_expected,
+            },
+            {},
+        )
+
+    trade_offs: list[TradeOffOutcome] = []
+    inputs = (expected_result.tree, worst_result.tree)
+    flat = _has_flat_prices(inst)
+    for ratio in config.rho_grid:
+        spliced = combine_trees(*inputs, ratio, inst)
+        trade_offs.append(
+            _check_caps(
+                config, inst, inputs, spliced, "splice", ratio,
+                worst_cap=(1 + ratio) * best_worst,
+                expected_cap=(1 + 1 / ratio) * best_expected,
+                worst_cap_applies=flat,
+            )
+        )
+
+    if _has_unit_prices(inst) and best_worst >= 1:
+        reference = int(best_worst)
+        for factor in config.uniform_trade_offs:
+            numerator = factor * reference
+            chosen = combine_uniform(*inputs, numerator, inst)
+            ratio = Fraction(factor)
+            trade_offs.append(
+                _check_caps(
+                    config, inst, inputs, chosen, "uniform-sweep", ratio,
+                    worst_cap=Fraction(numerator + reference),
+                    expected_cap=(1 + 2 / (ratio * ratio + 2 * ratio)) * best_expected,
+                    worst_cap_applies=True,
+                )
+            )
+    return tuple(trade_offs)
+
+
+def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
+    """Run one batch and return its rows; :func:`write_table` saves them.
 
     Raises :class:`BoundViolation` the moment any exact bound check fails;
     raises ValueError, before the first draw, on a config that
@@ -379,196 +473,81 @@ def run_experiment(
         )
         inst = generate(spec)
         everything = frozenset(inst.objects)
-        pairs = pair_count(everything, inst)
         greedy_tree = divide_pairs(everything, inst)
         greedy_report = evaluate(greedy_tree, inst)
-        lower = root_lower_bound(everything, inst)
-
-        best_worst: Fraction | None = None
-        best_expected: Fraction | None = None
-        trade_offs: list[TradeOffOutcome] = []
+        optima = None
         if config.oracle_checks:
-            worst_result = opt_worst(everything, inst)
-            expected_result = opt_expected(everything, inst)
-            best_worst = worst_result.value
-            best_expected = expected_result.value
-            binary = inst.num_outcomes == 2
+            optima = (opt_worst(everything, inst), opt_expected(everything, inst))
 
-            if binary and greedy_report.worst > harmonic(pairs) * best_worst:
-                _violate(
-                    config,
-                    inst,
-                    "greedy harmonic cap",
-                    {
-                        "achieved": format_rational(greedy_report.worst),
-                        "cap": format_rational(harmonic(pairs) * best_worst),
-                    },
-                    {"greedy": greedy_tree, "optimal_worst": worst_result.tree},
-                )
-            if binary and lower > best_worst:
-                _violate(
-                    config,
-                    inst,
-                    "root lower bound",
-                    {
-                        "lower_bound": format_rational(lower),
-                        "optimum": format_rational(best_worst),
-                    },
-                    {"optimal_worst": worst_result.tree},
-                )
-
-            subset = frozenset(s for s in everything if rng.random() < 0.5)
-            if not subset:
-                subset = frozenset({min(everything)})
-            sub_worst = opt_worst(subset, inst).value
-            sub_expected = opt_expected(subset, inst).value
-            if sub_worst > best_worst or sub_expected > best_expected:
-                _violate(
-                    config,
-                    inst,
-                    "subset monotonicity",
-                    {
-                        "subset": ",".join(str(s) for s in sorted(subset)),
-                        "subset_worst": format_rational(sub_worst),
-                        "full_worst": format_rational(best_worst),
-                        "subset_expected": format_rational(sub_expected),
-                        "full_expected": format_rational(best_expected),
-                    },
-                    {},
-                )
-
-            inputs = (expected_result.tree, worst_result.tree)
-            flat = _has_flat_prices(inst)
-            for ratio in config.rho_grid:
-                spliced = combine_trees(*inputs, ratio, inst)
-                trade_offs.append(
-                    _check_caps(
-                        config, inst, inputs, spliced, "splice", ratio,
-                        worst_cap=(1 + ratio) * best_worst,
-                        expected_cap=(1 + 1 / ratio) * best_expected,
-                        worst_cap_applies=flat,
-                    )
-                )
-
-            if _has_unit_prices(inst) and best_worst >= 1:
-                reference = int(best_worst)
-                for factor in config.uniform_trade_offs:
-                    numerator = factor * reference
-                    chosen = combine_uniform(*inputs, numerator, inst)
-                    ratio = Fraction(factor)
-                    trade_offs.append(
-                        _check_caps(
-                            config, inst, inputs, chosen, "uniform-sweep", ratio,
-                            worst_cap=Fraction(numerator + reference),
-                            expected_cap=(1 + 2 / (ratio * ratio + 2 * ratio))
-                            * best_expected,
-                            worst_cap_applies=True,
-                        )
-                    )
-
-        rows.append(
-            ExperimentRow(
-                index=index,
-                seed=spec.seed,
-                name=inst.name or "",
-                num_objects=inst.num_objects,
-                num_classes=len(set(inst.classes)),
-                num_tests=inst.num_tests,
-                num_outcomes=inst.num_outcomes,
-                cost_mode=config.cost_mode,
-                separable_pairs=pairs,
-                greedy_worst=greedy_report.worst,
-                greedy_expected=greedy_report.expected,
-                lower_bound=lower,
-                opt_worst=best_worst,
-                opt_expected=best_expected,
-                trade_offs=tuple(trade_offs),
-            )
+        row = ExperimentRow(
+            index=index,
+            seed=spec.seed,
+            name=inst.name or "",
+            num_objects=inst.num_objects,
+            num_classes=len(set(inst.classes)),
+            num_tests=inst.num_tests,
+            num_outcomes=inst.num_outcomes,
+            cost_mode=config.cost_mode,
+            separable_pairs=pair_count(everything, inst),
+            greedy_worst=greedy_report.worst,
+            greedy_expected=greedy_report.expected,
+            lower_bound=root_lower_bound(everything, inst),
+            opt_worst=None if optima is None else optima[0].value,
+            opt_expected=None if optima is None else optima[1].value,
+            trade_offs=(),
         )
-    if table_path is not None:
-        write_table(rows, table_path)
+        if optima is not None:
+            trade_offs = _check_optima(config, inst, rng, row, greedy_tree, *optima)
+            row = replace(row, trade_offs=trade_offs)
+        rows.append(row)
     return rows
 
 
-_TABLE_COLUMNS = (
-    "index",
-    "seed",
-    "name",
-    "objects",
-    "classes",
-    "tests",
-    "outcome_alphabet",
-    "cost_mode",
-    "pairs",
-    "opt_worst",
-    "opt_expected",
-    "greedy_worst",
-    "greedy_expected",
-    "greedy_cap",
-    "greedy_ratio",
-    "lower_bound",
-    "variant",
-    "trade_off",
-    "achieved_worst",
-    "worst_cap",
-    "worst_ok",
-    "achieved_expected",
-    "expected_cap",
-    "expected_ok",
+# The table schema, in column order: each header beside the getter of its
+# cell's value.  An instance's columns repeat on each of its lines, one line
+# per trade-off outcome; an instance without outcomes (oracle checks off)
+# gets one line whose outcome columns read "-".
+_ROW_COLUMNS: tuple[tuple[str, Callable[[ExperimentRow], Any]], ...] = (
+    ("index", lambda row: row.index),
+    ("seed", lambda row: row.seed),
+    ("name", lambda row: row.name),
+    ("objects", lambda row: row.num_objects),
+    ("classes", lambda row: row.num_classes),
+    ("tests", lambda row: row.num_tests),
+    ("outcome_alphabet", lambda row: row.num_outcomes),
+    ("cost_mode", lambda row: row.cost_mode),
+    ("pairs", lambda row: row.separable_pairs),
+    ("opt_worst", lambda row: row.opt_worst),
+    ("opt_expected", lambda row: row.opt_expected),
+    ("greedy_worst", lambda row: row.greedy_worst),
+    ("greedy_expected", lambda row: row.greedy_expected),
+    ("greedy_cap", lambda row: row.harmonic_cap),
+    ("greedy_ratio", lambda row: row.greedy_ratio),
+    ("lower_bound", lambda row: row.lower_bound),
 )
-
-
-def _maybe(value: Fraction | None) -> str:
-    return "-" if value is None else format_rational(value)
-
-
-def _flag(value: bool | None) -> str:
-    if value is None:
-        return "-"
-    return "yes" if value else "no"
+_OUTCOME_COLUMNS: tuple[tuple[str, Callable[[TradeOffOutcome], Any]], ...] = (
+    ("variant", lambda outcome: outcome.variant),
+    ("trade_off", lambda outcome: outcome.trade_off),
+    ("achieved_worst", lambda outcome: outcome.achieved_worst),
+    ("worst_cap", lambda outcome: outcome.worst_cap),
+    ("worst_ok", lambda outcome: outcome.worst_ok),
+    ("achieved_expected", lambda outcome: outcome.achieved_expected),
+    ("expected_cap", lambda outcome: outcome.expected_cap),
+    ("expected_ok", lambda outcome: outcome.expected_ok),
+)
 
 
 def write_table(rows: Sequence[ExperimentRow], path: str) -> None:
     """Write rows as a long-format TSV: one line per trade-off outcome.
 
     Instances with no trade-off outcomes (oracle checks disabled) still get
-    one line, with the trade-off columns blank.  All numbers are exact.
+    one line, with "-" in the trade-off columns.  All numbers are exact.
     """
-    lines = ["\t".join(_TABLE_COLUMNS)]
+    lines = ["\t".join(header for header, _ in _ROW_COLUMNS + _OUTCOME_COLUMNS)]
+    no_outcome = ["-"] * len(_OUTCOME_COLUMNS)
     for row in rows:
-        base = [
-            str(row.index),
-            str(row.seed),
-            row.name,
-            str(row.num_objects),
-            str(row.num_classes),
-            str(row.num_tests),
-            str(row.num_outcomes),
-            row.cost_mode,
-            str(row.separable_pairs),
-            _maybe(row.opt_worst),
-            _maybe(row.opt_expected),
-            format_rational(row.greedy_worst),
-            format_rational(row.greedy_expected),
-            _maybe(row.harmonic_cap),
-            _maybe(row.greedy_ratio),
-            format_rational(row.lower_bound),
-        ]
-        outcomes = row.trade_offs or (None,)
-        for outcome in outcomes:
-            if outcome is None:
-                tail = ["-", "-", "-", "-", "-", "-", "-", "-"]
-            else:
-                tail = [
-                    outcome.variant,
-                    format_rational(outcome.trade_off),
-                    format_rational(outcome.achieved_worst),
-                    format_rational(outcome.worst_cap),
-                    _flag(outcome.worst_ok),
-                    format_rational(outcome.achieved_expected),
-                    format_rational(outcome.expected_cap),
-                    _flag(outcome.expected_ok),
-                ]
-            lines.append("\t".join(base + tail))
+        base = [_text(value(row)) for _, value in _ROW_COLUMNS]
+        tails = [[_text(value(o)) for _, value in _OUTCOME_COLUMNS] for o in row.trade_offs]
+        lines.extend("\t".join(base + tail) for tail in tails or [no_outcome])
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -19,7 +19,6 @@ from dfep.model import (
     Instance,
     Internal,
     Leaf,
-    iter_leaves,
     tree_objects,
     validate_instance,
     validate_tree,

@@ -21,7 +21,7 @@ nothing in this module — or in the packages built on it — rounds.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -202,6 +202,14 @@ def mask_objects(mask: int) -> frozenset[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return frozenset(out)
+
+
+def _incomplete(mask: int) -> ValueError:
+    """The error for a mixed-class object set that no test splits."""
+    return ValueError(
+        f"objects {sorted(mask_objects(mask))} hold more than one class but no "
+        "test separates them: incomplete instance"
+    )
 
 
 @dataclass(frozen=True)
@@ -568,7 +576,7 @@ def validate_tree(tree: DecisionTree, objects: Iterable[int], inst: Instance) ->
         if not 0 <= node.test < inst.num_tests:
             violations.append(f"{path}: unknown test {node.test}")
             continue
-        buckets = partition(expected, node.test, inst)
+        buckets = _split(expected, inst.outcome_table[node.test])
         if len(node.children) < 2:
             violations.append(f"{path}: internal node with {len(node.children)} child(ren)")
         if set(node.children) != set(buckets):

@@ -40,6 +40,7 @@ from dfep.model import (
     Kernel,
     Leaf,
     _check_objects,
+    _incomplete,
     _scaled,
     mask_objects,
     objects_mask,
@@ -139,10 +140,7 @@ def _recurse(
                     parts = [(i, costs[i - 1], b, visit(b)) for i, b in buckets]
                     options.append(split(test, parts))
             if not options:
-                raise ValueError(
-                    f"objects {sorted(mask_objects(mask))} hold more than one class "
-                    "but no test separates them: incomplete instance"
-                )
+                raise _incomplete(mask)
             value = pick(options)
         memo[mask] = value
         return value

@@ -611,22 +611,81 @@ class TestRunExperiment:
         assert all(row.trade_offs == () for row in rows)
 
     def test_violations_abort_and_leave_a_replay_file(self, tmp_path, monkeypatch):
-        # Sabotage the harmonic cap so the very first instance trips it.
-        monkeypatch.setattr(
-            "dfep.harness.experiment.harmonic", lambda count: Fraction(0)
-        )
+        # Sabotage one greedy bound at a time so the very first instance trips it.
+        cases = [
+            (
+                "harmonic",
+                lambda count: Fraction(0),
+                "greedy harmonic cap",
+                {"achieved": "2", "cap": "0"},
+                {"greedy", "optimal_worst"},
+            ),
+            (
+                "root_lower_bound",
+                lambda objects, inst: Fraction(100),
+                "root lower bound",
+                {"lower_bound": "100", "optimum": "2"},
+                {"optimal_worst"},
+            ),
+        ]
         replay = tmp_path / "replay.json"
         config = ExperimentConfig(seed=11, count=3, replay_path=str(replay))
-        with pytest.raises(BoundViolation, match="greedy harmonic cap"):
-            run_experiment(config)
-        doc = json.loads(replay.read_text())
-        assert doc["check"] == "greedy harmonic cap"
-        assert set(doc) == {"check", "details", "instance", "trees"}
-        assert "greedy" in doc["trees"]
-        # The saved instance replays: reading it back gives a valid instance.
-        inst_path = tmp_path / "instance.json"
-        inst_path.write_text(json.dumps(doc["instance"]))
-        assert validate_instance(read_instance(inst_path)) == []
+        for name, fake, check, details, trees in cases:
+            with monkeypatch.context() as patch:
+                patch.setattr(f"dfep.harness.experiment.{name}", fake)
+                with pytest.raises(BoundViolation, match=check):
+                    run_experiment(config)
+            doc = json.loads(replay.read_text())
+            assert doc["check"] == check
+            assert set(doc) == {"check", "details", "instance", "trees"}
+            assert doc["details"] == details
+            assert set(doc["trees"]) == trees
+            # The saved instance replays: reading it back gives a valid instance.
+            inst_path = tmp_path / "instance.json"
+            inst_path.write_text(json.dumps(doc["instance"]))
+            assert validate_instance(read_instance(inst_path)) == []
+
+    def test_table_bytes_are_pinned(self, tmp_path):
+        # Two instances, with the oracle checks on and off: every column, the
+        # trade-off lines of both variants, and the "-" tail of an instance
+        # without trade-offs.
+        header = (
+            "index\tseed\tname\tobjects\tclasses\ttests\toutcome_alphabet\tcost_mode\t"
+            "pairs\topt_worst\topt_expected\tgreedy_worst\tgreedy_expected\tgreedy_cap\t"
+            "greedy_ratio\tlower_bound\tvariant\ttrade_off\tachieved_worst\tworst_cap\t"
+            "worst_ok\tachieved_expected\texpected_cap\texpected_ok\n"
+        )
+        run0 = "0\t3415330359\trun0\t4\t4\t5\t2\tunit\t6\t"
+        run1 = "1\t3869338171\trun1\t4\t2\t3\t2\tunit\t4\t"
+        checked = header + (
+            run0 + "2\t2\t2\t2\t49/10\t1\t6/5\tsplice\t1/2\t2\t3\tyes\t2\t6\tyes\n"
+            + run0 + "2\t2\t2\t2\t49/10\t1\t6/5\tsplice\t2\t2\t6\tyes\t2\t3\tyes\n"
+            + run0 + "2\t2\t2\t2\t49/10\t1\t6/5\tuniform-sweep\t1\t2\t4\tyes\t2\t10/3\tyes\n"
+            + run1 + "2\t137/82\t3\t113/41\t25/6\t3/2\t2\t"
+            + "splice\t1/2\t2\t3\tyes\t137/82\t411/82\tyes\n"
+            + run1 + "2\t137/82\t3\t113/41\t25/6\t3/2\t2\t"
+            + "splice\t2\t2\t6\tyes\t137/82\t411/164\tyes\n"
+            + run1 + "2\t137/82\t3\t113/41\t25/6\t3/2\t2\t"
+            + "uniform-sweep\t1\t2\t4\tyes\t137/82\t685/246\tyes\n"
+        )
+        unchecked = header + (
+            run0 + "-\t-\t2\t2\t-\t-\t6/5\t-\t-\t-\t-\t-\t-\t-\t-\n"
+            "1\t2787324501\trun1\t3\t3\t4\t2\tunit\t3\t"
+            "-\t-\t2\t38/27\t-\t-\t3/2\t-\t-\t-\t-\t-\t-\t-\t-\n"
+        )
+        config = ExperimentConfig(
+            seed=5,
+            count=2,
+            objects=(3, 4),
+            rho_grid=(Fraction(1, 2), Fraction(2)),
+            uniform_trade_offs=(1,),
+            replay_path=str(tmp_path / "replay.json"),
+        )
+        table = tmp_path / "table.tsv"
+        for oracle_checks, expected in ((True, checked), (False, unchecked)):
+            rows = run_experiment(dataclasses.replace(config, oracle_checks=oracle_checks))
+            write_table(rows, table)
+            assert table.read_bytes() == expected.encode()
 
     def test_table_bytes_are_deterministic(self, tmp_path):
         config = ExperimentConfig(
@@ -634,7 +693,7 @@ class TestRunExperiment:
         )
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         write_table(run_experiment(config), a)
-        run_experiment(config, table_path=str(b))
+        write_table(run_experiment(config), b)
         assert a.read_bytes() == b.read_bytes()
         lines = a.read_text().splitlines()
         header = lines[0].split("\t")
