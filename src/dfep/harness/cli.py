@@ -18,13 +18,13 @@ from dfep.harness.experiment import BoundViolation, load_config, run_experiment,
 from dfep.harness.generate import COST_MODES, PRIOR_MODES, GeneratorSpec, generate
 from dfep.harness.io import (
     _encode_document,
+    _encode_tree,
     export_dot,
     format_rational,
     instance_to_doc,
     parse_rational,
     read_instance,
     read_tree,
-    tree_to_doc,
     write_instance,
     write_tree,
 )
@@ -57,7 +57,7 @@ def _read_tree(path: str, inst: Instance) -> DecisionTree:
 def _emit_tree(tree: DecisionTree, output: str | None) -> None:
     """Print the tree document, or write it to ``output`` when one is given."""
     if output is None:
-        _emit_json(tree_to_doc(tree))
+        sys.stdout.write(_encode_tree(tree, "stdout"))
     else:
         write_tree(tree, output)
 

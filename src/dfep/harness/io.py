@@ -12,7 +12,7 @@ import json
 import os
 import re
 from fractions import Fraction
-from typing import Any, Union
+from typing import Any, Iterable, Union
 
 from dfep.model import (
     DecisionTree,
@@ -37,6 +37,11 @@ __all__ = [
 ]
 
 Pathish = Union[str, "os.PathLike[str]"]
+
+# The most tests on a root-to-leaf path that the tree writer accepts.  The
+# ``json`` parser behind the reader recurses twice per tree level, so a file
+# at the cap reads back well inside Python's default recursion limit of 1,000.
+MAX_TREE_DEPTH = 400
 
 
 def format_rational(value: Fraction) -> str:
@@ -87,11 +92,14 @@ def _encode_document(doc: Any, where: str) -> str:
         raise ValueError(f"{where}: document nested too deeply") from None
 
 
-def _dump_document(doc: Any, path: Pathish) -> None:
-    # Encoded first, so that a failure leaves an existing file as it was.
-    text = _encode_document(doc, f"{path}")
+def _write_text(text: str, path: Pathish) -> None:
+    # Callers encode first, so that a failure leaves an existing file as it was.
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
+
+
+def _dump_document(doc: Any, path: Pathish) -> None:
+    _write_text(_encode_document(doc, f"{path}"), path)
 
 
 def _expect_int(raw: Any, where: str) -> int:
@@ -294,8 +302,61 @@ def _tree_from_doc(doc: Any, where: str) -> DecisionTree:
     return root[None]
 
 
+def _check_ids(ids: Iterable[Any], where: str) -> None:
+    for value in ids:
+        if type(value) is not int:
+            raise ValueError(f"{where}: tree id {value!r} is not an integer")
+
+
+def _encode_tree(tree: DecisionTree, where: str) -> str:
+    """``json.dumps(tree_to_doc(tree), indent=2) + "\\n"``, written directly.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder, several times
+    slower than this walk.  A tree deeper than :data:`MAX_TREE_DEPTH`, or
+    one whose tests, outcomes, classes or objects are not ints, is refused
+    with a one-line ``ValueError`` that starts with ``where``.
+    """
+    parts: list[str] = []
+    # Pre-order with ascending outcomes.  An entry is a node with the text
+    # before it and its depth, or the text that closes an internal node.
+    stack: list[Any] = [(tree, "", 0)]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, str):
+            parts.append(entry)
+            continue
+        node, head, depth = entry
+        if depth > MAX_TREE_DEPTH:
+            raise ValueError(f"{where}: document nested too deeply")
+        # A node at depth d is a JSON object at nesting level 2d.
+        close = "\n" + " " * (4 * depth)
+        field = close + "  "
+        item = field + "  "
+        if isinstance(node, Leaf):
+            objects = sorted(node.objects)
+            _check_ids((node.class_id, *objects), where)
+            listed = f"[{item}{(',' + item).join(map(str, objects))}{field}]" if objects else "[]"
+            parts.append(
+                f'{head}{{{field}"leaf_class": {node.class_id},{field}"objects": {listed}{close}}}'
+            )
+            continue
+        outcomes = sorted(node.children)
+        _check_ids((node.test, *outcomes), where)
+        parts.append(f'{head}{{{field}"test": {node.test},{field}"children": {{')
+        if not outcomes:
+            parts.append(f"}}{close}}}")
+            continue
+        stack.append(f"{field}}}{close}}}")
+        stack.extend(
+            (node.children[i], f'{"," if i != outcomes[0] else ""}{item}"{i}": ', depth + 1)
+            for i in reversed(outcomes)
+        )
+    parts.append("\n")
+    return "".join(parts)
+
+
 def write_tree(tree: DecisionTree, path: Pathish) -> None:
-    _dump_document(tree_to_doc(tree), path)
+    _write_text(_encode_tree(tree, f"{path}"), path)
 
 
 def read_tree(path: Pathish) -> DecisionTree:

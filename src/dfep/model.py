@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -101,15 +102,6 @@ class Instance:
     def tests(self) -> range:
         """All test ids, as a sequence."""
         return range(self.num_tests)
-
-    def class_of(self, obj: int) -> int:
-        return self.classes[obj]
-
-    def outcome(self, test: int, obj: int) -> int:
-        return self.outcome_table[test][obj]
-
-    def prior(self, obj: int) -> Fraction:
-        return self.priors[obj]
 
     def cost(self, test: int, outcome: int) -> Fraction:
         """Cost charged when ``test`` answers ``outcome`` (1-based)."""
@@ -235,15 +227,22 @@ class Kernel:
     @classmethod
     def of(cls, inst: Instance) -> "Kernel":
         n, k = inst.num_objects, inst.num_outcomes
+        tables = _outcome_digits(k) if k <= 255 else ()
         outcome_masks = []
         for t, row in enumerate(inst.outcome_table):
-            # An outcome outside 1..k would land in the wrong mask unnoticed.
-            if len(row) != n or not 1 <= min(row, default=1) <= max(row, default=1) <= k:
+            try:
+                # Object s becomes the s-th byte from the right.
+                text = bytes(row)[::-1]
+            except (ValueError, TypeError):
+                text = None  # an entry that is not a byte
+            if not tables or text is None:
+                outcome_masks.append(_bit_masks(t, row, n, k))
+                continue
+            masks = tuple(int(text.translate(table) or b"0", 2) for table in tables)
+            # An entry outside 1..k sets no bit, so the masks miss an object.
+            if len(row) != n or sum(m.bit_count() for m in masks) != n:
                 raise ValueError(f"outcomes of test {t} are not {n} values in 1..{k}")
-            masks = [0] * k
-            for s, outcome in enumerate(row):
-                masks[outcome - 1] |= 1 << s
-            outcome_masks.append(tuple(masks))
+            outcome_masks.append(masks)
         labels: dict[int, int] = {}
         for s, label in enumerate(inst.classes):
             labels[label] = labels.get(label, 0) | 1 << s
@@ -254,6 +253,25 @@ class Kernel:
             costs=tuple(map(tuple, costs)),
             scale=scale,
         )
+
+
+@cache
+def _outcome_digits(k: int) -> tuple[bytes, ...]:
+    """For each outcome i in 1..k, the byte table that maps i to ``b"1"`` and
+    every other byte to ``b"0"``."""
+    return tuple(b"0" * i + b"1" + b"0" * (255 - i) for i in range(1, k + 1))
+
+
+def _bit_masks(t: int, row: Sequence[int], n: int, k: int) -> tuple[int, ...]:
+    """Test ``t``'s outcome masks one bit at a time: for more than 255
+    outcomes, or entries that are not bytes."""
+    # An outcome outside 1..k would land in the wrong mask unnoticed.
+    if len(row) != n or not 1 <= min(row, default=1) <= max(row, default=1) <= k:
+        raise ValueError(f"outcomes of test {t} are not {n} values in 1..{k}")
+    masks = [0] * k
+    for s, outcome in enumerate(row):
+        masks[outcome - 1] |= 1 << s
+    return tuple(masks)
 
 
 def _scaled(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
@@ -383,19 +401,21 @@ def validate_instance(inst: Instance) -> list[str]:
     for s, cls in enumerate(inst.classes):
         if cls < 0:
             violations.append(f"object {s} has negative class id {cls}")
+    k = inst.num_outcomes
     for t, row in enumerate(inst.outcome_table):
-        for s, outcome in enumerate(row):
-            if not 1 <= outcome <= inst.num_outcomes:
-                violations.append(
-                    f"outcome of test {t} on object {s} is {outcome}, "
-                    f"outside 1..{inst.num_outcomes}"
-                )
-    for s, p in enumerate(inst.priors):
-        if p < 0:
-            violations.append(f"prior of object {s} is negative ({p})")
-    total = sum(inst.priors, Fraction(0))
-    if total != 1:
-        violations.append(f"prior sums to {total}, not 1")
+        # Rows are nonempty here; only a row out of range is scanned entry by entry.
+        if not 1 <= min(row) <= max(row) <= k:
+            violations.extend(
+                f"outcome of test {t} on object {s} is {outcome}, outside 1..{k}"
+                for s, outcome in enumerate(row)
+                if not 1 <= outcome <= k
+            )
+    scale, (weights,) = _scaled((inst.priors,))
+    for s, weight in enumerate(weights):
+        if weight < 0:
+            violations.append(f"prior of object {s} is negative ({inst.priors[s]})")
+    if sum(weights) != scale:
+        violations.append(f"prior sums to {sum(inst.priors, Fraction(0))}, not 1")
     for t, row in enumerate(inst.cost_table):
         for i, c in enumerate(row, start=1):
             if c <= 0:

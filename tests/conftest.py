@@ -23,6 +23,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,7 @@ from dfep.model import (
     DecisionTree,
     Instance,
     Internal,
+    Kernel,
     Leaf,
     as_fraction,
     pair_count,
@@ -532,6 +534,31 @@ def splice_cases(draw, coprime_priors: bool = False):
         assume(built[0] == "ok")
         trees.append(built[1])
     return inst, members, trees[0], trees[1]
+
+
+def reference_kernel(inst: Instance) -> Kernel:
+    """:meth:`Kernel.of` one table entry at a time: each outcome mask ORs in
+    one bit per object, and each price is the ``Fraction`` times the lcm of
+    the cost denominators."""
+    n, k = inst.num_objects, inst.num_outcomes
+    outcome_masks = []
+    for t, row in enumerate(inst.outcome_table):
+        if len(row) != n or not 1 <= min(row, default=1) <= max(row, default=1) <= k:
+            raise ValueError(f"outcomes of test {t} are not {n} values in 1..{k}")
+        masks = [0] * k
+        for s, outcome in enumerate(row):
+            masks[outcome - 1] |= 1 << s
+        outcome_masks.append(tuple(masks))
+    labels = sorted(set(inst.classes))
+    scale = lcm(*(c.denominator for row in inst.cost_table for c in row))
+    return Kernel(
+        outcome_masks=tuple(outcome_masks),
+        class_masks=tuple(
+            sum(1 << s for s in inst.objects if inst.classes[s] == label) for label in labels
+        ),
+        costs=tuple(tuple(int(c * scale) for c in row) for row in inst.cost_table),
+        scale=scale,
+    )
 
 
 def deep_chain(n: int = 1100) -> tuple[Instance, DecisionTree]:

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dfep
 from dfep.harness.experiment import (
@@ -16,9 +18,12 @@ from dfep.harness.experiment import (
     run_experiment,
     write_table,
 )
-from dfep.harness.cli import _emit_json
+from dfep.combine import combine_trees, combine_uniform
+from dfep.harness.cli import _emit_json, _emit_tree
 from dfep.harness.generate import GeneratorSpec, generate
 from dfep.harness.io import (
+    MAX_TREE_DEPTH,
+    _encode_tree,
     _tree_from_doc,
     export_dot,
     format_rational,
@@ -38,7 +43,14 @@ from dfep.model import (
     validate_instance,
     validate_tree,
 )
-from tests.conftest import deep_chain, run_dfep, run_python
+from tests.conftest import (
+    deep_chain,
+    result_or_error,
+    run_dfep,
+    run_python,
+    splice_cases,
+    tree_signature,
+)
 
 
 def two_object_instance():
@@ -396,6 +408,51 @@ class TestTreeFiles:
         with pytest.raises(ValueError, match="^stdout: document nested too deeply$"):
             _emit_json(tree_to_doc(tree))
         assert capsys.readouterr().out == ""
+
+
+class TestTreeEncoder:
+    @settings(max_examples=60)
+    @given(splice_cases(), st.sampled_from([Fraction(1, 2), 1, 2]))
+    def test_bytes_equal_indented_json(self, case, trade_off):
+        inst, members, expected_tree, worst_case_tree = case
+        trees = [
+            expected_tree,
+            worst_case_tree,
+            combine_trees(expected_tree, worst_case_tree, trade_off, inst),
+        ]
+        uniform = result_or_error(combine_uniform, expected_tree, worst_case_tree, 2, inst)
+        if uniform[0] == "ok":
+            trees.append(uniform[1])
+        first = min(members)
+        trees.append(Leaf(inst.classes[first], frozenset({first})))
+        for tree in trees:
+            assert _encode_tree(tree, "tree") == json.dumps(tree_to_doc(tree), indent=2) + "\n"
+
+    def test_depth_cap_round_trips_and_one_level_more_is_refused(self, tmp_path, capsys):
+        _, tree = deep_chain(MAX_TREE_DEPTH + 1)
+        path = tmp_path / "tree.json"
+        write_tree(tree, path)
+        # ``==`` on trees this deep would recurse, so compare flat signatures.
+        assert tree_signature(read_tree(path)) == tree_signature(tree)
+        _, deeper = deep_chain(MAX_TREE_DEPTH + 2)
+        path.write_text("old contents\n")
+        with pytest.raises(ValueError, match=r"tree\.json: document nested too deeply$"):
+            write_tree(deeper, path)
+        assert path.read_text() == "old contents\n"
+        with pytest.raises(ValueError, match="^stdout: document nested too deeply$"):
+            _emit_tree(deeper, None)
+        assert capsys.readouterr().out == ""
+
+    def test_ids_that_are_not_ints_are_refused(self, tmp_path):
+        path = tmp_path / "tree.json"
+        for tree in (
+            Leaf(class_id=True, objects=frozenset({0})),
+            Leaf(class_id=0, objects=frozenset({"0"})),
+            Internal(test=0, children={1.0: Leaf(0, frozenset({0}))}),
+        ):
+            with pytest.raises(ValueError, match=r"tree\.json: tree id .* is not an integer$"):
+                write_tree(tree, path)
+        assert not path.exists()
 
 
 class TestExportDot:

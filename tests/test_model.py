@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from dfep.combine import combine_trees, combine_uniform
 from dfep.model import (
     Instance,
     Internal,
+    Kernel,
     Leaf,
     evaluate,
     iter_leaves,
@@ -31,6 +33,7 @@ from tests.conftest import (
     path_costs_by_walking,
     random_complete_instance,
     reference_evaluate,
+    reference_kernel,
     result_or_error,
     splice_cases,
     tree_signature,
@@ -124,6 +127,103 @@ class TestValidateInstance:
             assert validate_instance(inst) == expected
             incomplete += bool(expected)
         assert incomplete >= 20
+
+    def test_every_violation_in_order(self):
+        inst = Instance(
+            classes=(0, -1, 1, 2),
+            num_outcomes=2,
+            outcome_table=((1, 3, 0, 1), (2, 1, 2, 2), (1, 1, -1, 1)),
+            priors=(Fraction(1, 2), Fraction(-1, 4), Fraction(1, 2), Fraction(0)),
+            cost_table=(
+                (Fraction(0), Fraction(1)),
+                (Fraction(1), Fraction(-2)),
+                (Fraction(1, 3), Fraction(1)),
+            ),
+        )
+        assert validate_instance(inst) == [
+            "object 1 has negative class id -1",
+            "outcome of test 0 on object 1 is 3, outside 1..2",
+            "outcome of test 0 on object 2 is 0, outside 1..2",
+            "outcome of test 2 on object 2 is -1, outside 1..2",
+            "prior of object 1 is negative (-1/4)",
+            "prior sums to 3/4, not 1",
+            "cost of test 0 on outcome 1 is 0, not positive",
+            "cost of test 1 on outcome 2 is -2, not positive",
+            "completeness: objects 0 and 3 are never separated",
+        ]
+
+
+# The faults a row of outcomes can carry: a value outside 1..k, a row one
+# entry short or long, or both, so that the bits set still number n.
+ROW_FAULTS = ("zero", "above k", "negative", "above 255", "short", "long", "long with a zero")
+
+
+def faulty_row(row, fault: str, s: int, k: int) -> tuple[int, ...]:
+    """``row`` with one of ``ROW_FAULTS`` at position ``s``."""
+    row = list(row)
+    if fault == "short":
+        del row[s]
+    elif fault == "long":
+        row.insert(s, 1)
+    elif fault == "long with a zero":
+        row[s : s + 1] = [1, 0]
+    else:
+        row[s] = {"zero": 0, "above k": k + 1, "negative": -1, "above 255": 1000}[fault]
+    return tuple(row)
+
+
+@st.composite
+def kernel_cases(draw, outcomes=st.integers(2, 4), objects=st.integers(1, 12)):
+    """An instance with random outcome rows and prices, one row of which
+    may carry one of the ``ROW_FAULTS``."""
+    k, n = draw(outcomes), draw(objects)
+    num_tests = draw(st.integers(1, 5))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(1, k), min_size=n, max_size=n),
+            min_size=num_tests,
+            max_size=num_tests,
+        )
+    )
+    price = st.builds(Fraction, st.integers(1, 12), st.integers(1, 7))
+    costs = draw(st.lists(price, min_size=num_tests, max_size=num_tests))
+    classes = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    inst = Instance.create(classes, rows, costs=costs, num_outcomes=k)
+    fault = draw(st.none() | st.sampled_from(ROW_FAULTS))
+    if fault is None:
+        return inst
+    t, s = draw(st.integers(0, num_tests - 1)), draw(st.integers(0, n - 1))
+    table = list(inst.outcome_table)
+    table[t] = faulty_row(table[t], fault, s, k)
+    return dataclasses.replace(inst, outcome_table=tuple(table))
+
+
+class TestKernelOf:
+    @given(kernel_cases())
+    def test_matches_the_bit_loop(self, inst):
+        assert result_or_error(Kernel.of, inst) == result_or_error(reference_kernel, inst)
+
+    @settings(max_examples=30)
+    @given(kernel_cases(outcomes=st.just(300), objects=st.integers(1, 40)))
+    def test_matches_the_bit_loop_past_255_outcomes(self, inst):
+        assert result_or_error(Kernel.of, inst) == result_or_error(reference_kernel, inst)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 300])
+    @pytest.mark.parametrize("fault", ROW_FAULTS)
+    def test_each_faulty_row_gets_the_row_message(self, k, fault):
+        rows = [tuple(1 + (s + t) % k for s in range(5)) for t in range(3)]
+        rows[1] = faulty_row(rows[1], fault, 2, k)
+        inst = Instance(
+            classes=(0, 1, 2, 3, 4),
+            num_outcomes=k,
+            outcome_table=tuple(rows),
+            priors=(Fraction(1, 5),) * 5,
+            cost_table=((Fraction(1),) * k,) * 3,
+        )
+        message = "outcomes of test 1 are not 5 values in 1..%d" % k
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Kernel.of(inst)
+        assert result_or_error(reference_kernel, inst) == ("error", message)
 
 
 class TestPartition:
