@@ -9,6 +9,7 @@ failure, 2 usage errors.  All output is deterministic given the inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -240,8 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call, not at import.  Reuse is safe: parsing leaves the
+# parser as it was, and every default is immutable.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.handler(args)
     except BoundViolation as exc:

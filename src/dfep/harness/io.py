@@ -65,7 +65,12 @@ def parse_rational(raw: Any, where: str) -> Fraction:
     if isinstance(raw, str) and not _RATIONAL_TEXT.fullmatch(raw):
         raise ValueError(f"{where}: not a rational: {raw!r} (expected digits or 'p/q')")
     try:
-        return Fraction(raw)
+        if isinstance(raw, int):
+            return Fraction(raw)
+        # The text is checked, so two int() calls replace Fraction's own
+        # string parser; a zero denominator raises as Fraction(raw) would.
+        numerator, _, denominator = raw.partition("/")
+        return Fraction(int(numerator), int(denominator or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{where}: not a rational: {raw!r} ({exc})") from None
 

@@ -1,15 +1,16 @@
 """Exact baselines: optimal trees by exhaustive dynamic programming.
 
 These solvers exist to judge the fast algorithms, not to be fast themselves.
-Each is one memoized recursion over the object subsets that usable tests
-reach from the input set, run on a :class:`~dfep.model.Kernel`: a subset is a
+All of them run on one table, built on a :class:`~dfep.model.Kernel` by an
+explicit stack: every object subset that usable tests reach from the input
+set, listed once with its splits, children before parents.  A subset is a
 bitmask, its bucket under a test is one AND, and costs and priors are
-integers scaled from the exact rationals.  The solvers differ only in three
-small functions handed to that recursion: the value of a leaf, the value of
-one split given its children's values, and the pick among a subset's splits.
-The recursion is exponential, so the solvers refuse sets larger than a small
-cap; every call builds its own kernel and memo.  Everything returns exact
-rationals and a witness tree alongside the optimal value.
+integers scaled from the exact rationals.  Each solver is a short bottom-up
+fold over that table: plain dict reads of the children's values, each
+subset's prior mass summed once, and witness trees built only for the input
+set's winners.  The table is exponential, so the solvers refuse sets larger
+than a small cap; every call builds its own kernel and table.  Everything
+returns exact rationals and a witness tree alongside the optimal value.
 
 Provided here:
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Any, Callable, Iterable
 
 from dfep.model import (
@@ -67,8 +68,8 @@ ENUMERATION_OBJECT_LIMIT = 6
 class OracleResult:
     """An exact optimum: its value, one optimal tree, and the search size.
 
-    ``explored`` counts distinct object subsets the solver memoized, which
-    makes regressions in pruning visible in tests.
+    ``explored`` counts the distinct object subsets in the solver's table,
+    which makes regressions in pruning visible in tests.
     """
 
     value: Fraction
@@ -97,22 +98,16 @@ def harmonic(k: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, k + 1)), Fraction(0))
 
 
-def _recurse(
-    objects: Iterable[int],
-    inst: Instance,
-    limit: int,
-    leaf: Callable[[Leaf], Any],
-    split: Callable[[int, list[tuple[int, int, int, Any]]], Any],
-    pick: Callable[[list[Any]], Any],
-) -> tuple[Any, int, int]:
-    """The value of the object set, the number of subsets memoized, and the
-    scale of the kernel's integer costs.
+def _table(objects: Iterable[int], inst: Instance, limit: int) -> tuple[list, Kernel]:
+    """Every subset that usable tests reach from the object set, paired with
+    its splits, children before parents and the object set last; and the
+    instance's kernel.
 
-    A single-class subset is valued by ``leaf`` from its leaf.  A mixed one
-    is valued by ``pick`` from the ``split`` values of its usable tests (two
-    or more nonempty buckets) in ascending test id; ``split`` gets the test
-    and one ``(outcome, cost, bucket, bucket value)`` per bucket, in
-    ascending outcome order.
+    A split is ``(test, buckets)``, one bucket mask per outcome (empty ones
+    included), for each test with two or more nonempty buckets, in ascending
+    test id.  A single-class subset has no splits.  Subsets are entered depth
+    first by ascending test and outcome, so of several inseparable mixed
+    subsets the first one entered is reported.
     """
     members = _check_objects(objects, inst)
     if not members:
@@ -123,90 +118,123 @@ def _recurse(
             f"(limit {limit})"
         )
     kernel = Kernel.of(inst)
-    memo: dict[int, Any] = {}
+    owner = [0] * inst.num_objects  # each object's class mask
+    for part in kernel.class_masks:
+        for s in mask_objects(part):
+            owner[s] = part
+    table: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    stack = [(objects_mask(members), list(enumerate(kernel.outcome_masks)))]
+    while stack:
+        mask, tests = stack.pop()
+        if mask in table:
+            continue
+        if mask & owner[(mask & -mask).bit_length() - 1] == mask:
+            table[mask] = []
+            continue
+        # Only a test that splits the parent can split the subset, and the
+        # parent's buckets under it cut the subset as the test's own row does.
+        table[mask] = splits = [
+            (test, buckets)
+            for test, row in tests
+            if mask not in (buckets := tuple(map(mask.__and__, row)))
+        ]
+        if not splits:
+            raise _incomplete(mask)
+        stack.extend(
+            (b, splits)
+            for _, buckets in reversed(splits)
+            for b in reversed(buckets)
+            if b and b not in table
+        )
+    return sorted(table.items(), key=lambda entry: entry[0].bit_count()), kernel
 
-    def visit(mask: int) -> Any:
-        if mask in memo:
-            return memo[mask]
-        if sum(1 for part in kernel.class_masks if part & mask) == 1:
-            label = inst.classes[(mask & -mask).bit_length() - 1]
-            value = leaf(Leaf(class_id=label, objects=mask_objects(mask)))
-        else:
-            options = []
-            for test, row in enumerate(kernel.outcome_masks):
-                buckets = [(i, mask & m) for i, m in enumerate(row, start=1) if mask & m]
-                if len(buckets) > 1:
-                    costs = kernel.costs[test]
-                    parts = [(i, costs[i - 1], b, visit(b)) for i, b in buckets]
-                    options.append(split(test, parts))
-            if not options:
-                raise _incomplete(mask)
-            value = pick(options)
-        memo[mask] = value
-        return value
 
-    value = visit(objects_mask(members))
-    # ``visit`` refers to itself; dropping it frees the memo now instead of
-    # at the next cyclic garbage collection.
-    del visit
-    return value, len(memo), kernel.scale
-
-
-def _weigher(inst: Instance) -> tuple[Callable[[int], int], int]:
-    """The prior mass of a subset times ``scale``, an integer, and that scale."""
+def _masses(inst: Instance, rows: list) -> tuple[dict[int, int], int]:
+    """The prior mass of each subset in ``rows``, and of the empty one, times
+    ``scale``, an integer; and that scale."""
     scale, (weights,) = _scaled((inst.priors,))
-
-    def weigh(mask: int) -> int:
-        total = 0
-        while mask:
-            low = mask & -mask
+    mass = {0: 0}
+    for mask, _ in rows:
+        total, rest = 0, mask
+        while rest:
+            low = rest & -rest
             total += weights[low.bit_length() - 1]
-            mask ^= low
-        return total
-
-    return weigh, scale
-
-
-def _no_cost(leaf: Leaf) -> tuple[int, DecisionTree]:
-    return 0, leaf
+            rest ^= low
+        mass[mask] = total
+    return mass, scale
 
 
-def _first_minimum(options: list[tuple[int, int, list]]) -> tuple[int, DecisionTree]:
-    """The cheapest split as (value, tree); ties go to the smallest test id."""
-    value, test, parts = min(options, key=itemgetter(0))
-    return value, Internal(test=test, children={i: sub[1] for i, _, _, sub in parts})
+def _tree(witness: Any, inst: Instance) -> DecisionTree:
+    """The tree a witness spells: a leaf's object mask, or
+    ``(test, ((outcome, witness), ...))`` with one entry per nonempty bucket."""
+    order = [witness]
+    for node in order:
+        if isinstance(node, tuple):
+            order.extend(sub for _, sub in node[1])
+    built: dict[int, DecisionTree] = {}  # by id: every node stays alive in order
+    for node in reversed(order):
+        if isinstance(node, tuple):
+            children = {i: built[id(sub)] for i, sub in node[1]}
+            built[id(node)] = Internal(test=node[0], children=children)
+        else:
+            label = inst.classes[(node & -node).bit_length() - 1]
+            built[id(node)] = Leaf(class_id=label, objects=mask_objects(node))
+    return built[id(witness)]
+
+
+def _optimum(
+    rows: list, kernel: Kernel, inst: Instance, price: Callable
+) -> tuple[int, DecisionTree]:
+    """The least ``price(costs, buckets, value)`` over the object set, where
+    ``value`` holds every smaller subset's optimum and 0 for the empty one,
+    and a tree achieving it; ties go to the smallest test id."""
+    costs, value = kernel.costs, {0: 0}
+    witness: dict[int, Any] = {}
+    for mask, splits in rows:
+        if splits:
+            prices = [price(costs[test], buckets, value) for test, buckets in splits]
+            value[mask] = best = min(prices)
+            test, buckets = splits[prices.index(best)]
+            kids = tuple((i, witness[b]) for i, b in enumerate(buckets, start=1) if b)
+            witness[mask] = (test, kids)
+        else:
+            value[mask], witness[mask] = 0, mask
+    root = rows[-1][0]
+    return value[root], _tree(witness[root], inst)
+
+
+def _worst_price(costs: tuple[int, ...], buckets: tuple[int, ...], value: dict) -> int:
+    return max(cost + value[b] for cost, b in zip(costs, buckets) if b)
 
 
 def opt_worst(objects: Iterable[int], inst: Instance) -> OracleResult:
     """Minimum worst-case cost of any valid tree over the given objects."""
-
-    def split(test: int, parts: list) -> tuple[int, int, list]:
-        return max(cost + sub[0] for _, cost, _, sub in parts), test, parts
-
-    (value, tree), explored, scale = _recurse(
-        objects, inst, DP_OBJECT_LIMIT, _no_cost, split, _first_minimum
-    )
-    return OracleResult(value=Fraction(value, scale), tree=tree, explored=explored)
+    rows, kernel = _table(objects, inst, DP_OBJECT_LIMIT)
+    value, tree = _optimum(rows, kernel, inst, _worst_price)
+    return OracleResult(value=Fraction(value, kernel.scale), tree=tree, explored=len(rows))
 
 
 def opt_expected(objects: Iterable[int], inst: Instance) -> OracleResult:
     """Minimum prior-weighted expected cost of any valid tree."""
-    weigh, weight_scale = _weigher(inst)
+    rows, kernel = _table(objects, inst, DP_OBJECT_LIMIT)
+    mass, weight_scale = _masses(inst, rows)
 
-    def split(test: int, parts: list) -> tuple[int, int, list]:
-        return sum(weigh(b) * cost + sub[0] for _, cost, b, sub in parts), test, parts
+    def price(costs: tuple[int, ...], buckets: tuple[int, ...], value: dict) -> int:
+        return sum(map(mul, map(mass.__getitem__, buckets), costs)) + sum(
+            map(value.__getitem__, buckets)
+        )
 
-    (value, tree), explored, scale = _recurse(
-        objects, inst, DP_OBJECT_LIMIT, _no_cost, split, _first_minimum
-    )
+    value, tree = _optimum(rows, kernel, inst, price)
     return OracleResult(
-        value=Fraction(value, scale * weight_scale), tree=tree, explored=explored
+        value=Fraction(value, kernel.scale * weight_scale), tree=tree, explored=len(rows)
     )
 
 
-def _staircase(points: Iterable[tuple[int, int, Any]]) -> list[tuple[int, int, Any]]:
+def _staircase(points: list[tuple[int, int, Any]]) -> list[tuple[int, int, Any]]:
     """The (worst, expected, witness) points no other point beats on both
     measures, by ascending worst; of equal points the first stays."""
+    if len(points) < 2:
+        return points
     out: list[tuple[int, int, Any]] = []
     for point in sorted(points, key=itemgetter(0, 1)):
         if not out or point[1] < out[-1][1]:
@@ -215,41 +243,51 @@ def _staircase(points: Iterable[tuple[int, int, Any]]) -> list[tuple[int, int, A
 
 
 def _frontier(objects: Iterable[int], inst: Instance) -> tuple[list[FrontierPoint], int]:
-    """The frontier of the object set, and the number of subsets memoized."""
-    weigh, weight_scale = _weigher(inst)
+    """The frontier of the object set, and the number of subsets explored.
 
-    def split(test: int, parts: list) -> list[tuple[int, int, DecisionTree]]:
-        # A split's worst is max(cost_i + worst_i) and its expected is
-        # sum(mass_i * cost_i + expected_i), both monotone in every child's
-        # pair, so the buckets join one at a time and a partial point beaten
-        # on both measures is dropped at once: it only leads to beaten trees.
-        partial: list[tuple[int, int, tuple]] = [(0, 0, ())]
-        for _, cost, b, points in parts:
-            toll = weigh(b) * cost
-            partial = _staircase(
-                (max(worst, cost + sub_worst), expected + toll + sub_expected, kids + (sub,))
-                for worst, expected, kids in partial
-                for sub_worst, sub_expected, sub in points
-            )
-        outcomes = [i for i, _, _, _ in parts]
-        return [
-            (worst, expected, Internal(test=test, children=dict(zip(outcomes, kids))))
-            for worst, expected, kids in partial
-        ]
-
-    points, explored, scale = _recurse(
-        objects,
-        inst,
-        DP_OBJECT_LIMIT,
-        lambda leaf: [(0, 0, leaf)],
-        split,
-        lambda options: _staircase(itertools.chain.from_iterable(options)),
-    )
+    Points carry witnesses as :func:`_tree` reads them; only the object
+    set's winners become trees.
+    """
+    rows, kernel = _table(objects, inst, DP_OBJECT_LIMIT)
+    mass, weight_scale = _masses(inst, rows)
+    points: dict[int, list[tuple[int, int, Any]]] = {}
+    for mask, splits in rows:
+        if not splits:
+            points[mask] = [(0, 0, mask)]
+            continue
+        options = []
+        for test, buckets in splits:
+            # A split's worst is max(cost_i + worst_i) and its expected is
+            # sum(mass_i * cost_i + expected_i), both monotone in every
+            # child's pair, so the buckets join one at a time and a partial
+            # point beaten on both measures is dropped at once: it only
+            # leads to beaten trees.
+            partial: list[tuple[int, int, tuple]] = [(0, 0, ())]
+            for i, (cost, b) in enumerate(zip(kernel.costs[test], buckets), start=1):
+                if b:
+                    toll = mass[b] * cost
+                    partial = _staircase(
+                        [
+                            (
+                                max(worst, cost + sub_worst),
+                                expected + toll + sub_expected,
+                                kids + ((i, sub),),
+                            )
+                            for worst, expected, kids in partial
+                            for sub_worst, sub_expected, sub in points[b]
+                        ]
+                    )
+            options.extend((worst, expected, (test, kids)) for worst, expected, kids in partial)
+        points[mask] = _staircase(options)
     frontier = [
-        FrontierPoint(Fraction(worst, scale), Fraction(expected, scale * weight_scale), tree)
-        for worst, expected, tree in points
+        FrontierPoint(
+            Fraction(worst, kernel.scale),
+            Fraction(expected, kernel.scale * weight_scale),
+            _tree(witness, inst),
+        )
+        for worst, expected, witness in points[rows[-1][0]]
     ]
-    return frontier, explored
+    return frontier, len(rows)
 
 
 def opt_expected_under_budget(
@@ -292,20 +330,16 @@ def enumerate_trees(objects: Iterable[int], inst: Instance) -> list[DecisionTree
     equal minima over all valid trees.  The family is exponential, hence the
     tight object cap.
     """
-
-    def split(test: int, parts: list) -> list[DecisionTree]:
-        outcomes = [i for i, _, _, _ in parts]
-        return [
+    rows, _ = _table(objects, inst, ENUMERATION_OBJECT_LIMIT)
+    trees: dict[int, list[DecisionTree]] = {}
+    for mask, splits in rows:
+        if not splits:
+            trees[mask] = [_tree(mask, inst)]
+            continue
+        trees[mask] = [
             Internal(test=test, children=dict(zip(outcomes, combo)))
-            for combo in itertools.product(*(trees for _, _, _, trees in parts))
+            for test, buckets in splits
+            for outcomes in [[i for i, b in enumerate(buckets, start=1) if b]]
+            for combo in itertools.product(*(trees[b] for b in buckets if b))
         ]
-
-    trees, _, _ = _recurse(
-        objects,
-        inst,
-        ENUMERATION_OBJECT_LIMIT,
-        lambda leaf: [leaf],
-        split,
-        lambda options: list(itertools.chain.from_iterable(options)),
-    )
-    return trees
+    return trees[rows[-1][0]]

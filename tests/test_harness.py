@@ -1,12 +1,15 @@
 """Generator, file formats, experiment runner, and the command-line tool."""
 
+import contextlib
 import dataclasses
+import gc
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dfep
@@ -19,10 +22,11 @@ from dfep.harness.experiment import (
     write_table,
 )
 from dfep.combine import combine_trees, combine_uniform
-from dfep.harness.cli import _emit_json, _emit_tree
+from dfep.harness.cli import _emit_json, _emit_tree, build_parser, main
 from dfep.harness.generate import GeneratorSpec, generate
 from dfep.harness.io import (
     MAX_TREE_DEPTH,
+    _RATIONAL_TEXT,
     _encode_tree,
     _tree_from_doc,
     export_dot,
@@ -228,6 +232,20 @@ class TestRationalText:
         for text in ("0.5", "1e3", "1e999999999"):
             with pytest.raises(ValueError, match=f"rho: not a rational: '{text}'"):
                 parse_rational(text, "rho")
+
+    @given(st.from_regex(_RATIONAL_TEXT, fullmatch=True))
+    @example("-5/0")
+    @example("0/0")
+    @example("9" * 4301)
+    @example("1/" + "9" * 4301)
+    def test_parse_agrees_with_fraction_on_checked_text(self, text):
+        try:
+            expected = "ok", Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            expected = "error", f"x: not a rational: {text!r} ({exc})"
+        got = result_or_error(parse_rational, text, "x")
+        assert got == expected
+        assert type(got[1]) is type(expected[1])
 
 
 class TestInstanceFiles:
@@ -987,3 +1005,74 @@ class TestCommandLine:
         assert run_cli(cwd=tmp_path).returncode == 2
         assert run_cli("no-such-command", cwd=tmp_path).returncode == 2
         assert run_cli("solve", "inst.json", cwd=tmp_path).returncode == 2  # --algo missing
+
+
+class TestInProcessMain:
+    """``main`` parses with one parser built on its first call."""
+
+    @staticmethod
+    def call(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.fixture
+    def instance_path(self, tmp_path):
+        inst = generate(
+            GeneratorSpec(
+                num_objects=8,
+                num_classes=3,
+                num_tests=5,
+                num_outcomes=3,
+                cost_mode="value-dependent-random",
+                prior_mode="random",
+                seed=11,
+            )
+        )
+        path = tmp_path / "inst.json"
+        write_instance(inst, path)
+        return str(path)
+
+    def test_repeated_calls_give_the_same_bytes(self, tmp_path, instance_path):
+        runs = []
+        for k in range(2):
+            tree_path = tmp_path / f"tree{k}.json"
+            solved = self.call(
+                "solve", "--algo", "opt-expected", instance_path, "-o", str(tree_path)
+            )
+            frontier = self.call("frontier", instance_path)
+            runs.append((solved, frontier, tree_path.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0][0] == runs[0][1][0] == 0
+
+    def test_usage_error_after_a_success(self, instance_path):
+        before = self.call("solve", "--algo", "nope", instance_path)
+        assert self.call("frontier", instance_path)[0] == 0
+        after = self.call("solve", "--algo", "nope", instance_path)
+        assert after == before
+        assert after[0] == 2 and "invalid choice: 'nope'" in after[2]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_warm_call_leaves_nothing_for_the_collector(self, tmp_path, instance_path):
+        argvs = [
+            ("frontier", instance_path),
+            ("solve", "--algo", "opt-worst", instance_path, "-o", str(tmp_path / "dw.json")),
+        ]
+        for argv in argvs:
+            assert self.call(*argv)[0] == 0
+        gc.collect()
+        gc.disable()
+        try:
+            codes = [main(list(argv)) for argv in argvs[1:]]
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main(list(argvs[0])))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert codes == [0, 0]

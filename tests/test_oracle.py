@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfep.harness.generate import GeneratorSpec, generate
 from dfep.model import Instance, evaluate, validate_tree
 from dfep.oracle import (
+    DP_OBJECT_LIMIT,
     FrontierPoint,
     enumerate_trees,
     harmonic,
@@ -313,3 +316,61 @@ class TestMatchesFractionReference:
                 assert result is not None and result.value == best[0]
                 report = evaluate(result.tree, inst)
                 assert report.worst <= budget and report.expected == result.value
+
+
+class TestAtTheObjectCap:
+    # The benchmark's frontier shape: DP_OBJECT_LIMIT objects, ten ternary
+    # tests, answer-dependent prices and random priors.
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_fraction_reference(self, seed):
+        inst = generate(
+            GeneratorSpec(
+                num_objects=DP_OBJECT_LIMIT,
+                num_classes=4,
+                num_tests=10,
+                num_outcomes=3,
+                cost_mode="value-dependent-random",
+                prior_mode="random",
+                seed=7100 + seed,
+            )
+        )
+        members = frozenset(inst.objects)
+        for solver, measure in ((opt_worst, "worst"), (opt_expected, "expected")):
+            got = solver(members, inst)
+            assert (got.value, got.tree, got.explored) == reference_result(
+                members, inst, measure
+            )
+        points = pareto_frontier(members, inst)
+        assert [(p.budget, p.expected) for p in points] == reference_frontier(members, inst)
+        for point in points:
+            report = evaluate(point.tree, inst)
+            assert (report.worst, report.expected) == (point.budget, point.expected)
+
+
+class TestNoCyclicGarbage:
+    """The solvers free their tables by reference counting alone: a cycle
+    (say, a closure that refers to itself) would hold every subset's entry
+    until the next collection and raise the peak memory of a batch."""
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            opt_worst,
+            opt_expected,
+            pareto_frontier,
+            lambda members, inst: opt_expected_under_budget(members, inst, 10**6),
+            enumerate_trees,
+        ],
+        ids=["opt_worst", "opt_expected", "pareto_frontier", "under_budget", "enumerate"],
+    )
+    def test_leaves_nothing_for_the_collector(self, solve):
+        inst = next(small_instances(503, 1, num_objects=6, num_tests=5, num_outcomes=3))
+        solve(inst.objects, inst)
+        gc.collect()
+        gc.disable()
+        try:
+            result = solve(inst.objects, inst)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert result is not None
