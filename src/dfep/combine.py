@@ -31,7 +31,6 @@ from dfep.model import (
     RationalLike,
     _price,
     _restrict,
-    _scaled,
     as_fraction,
     evaluate,
     tree_objects,
@@ -144,10 +143,10 @@ def _splice(
     it has not but even the cheapest onward branch would strictly overshoot
     it — the last moment a hand-over can happen at-or-under the threshold.
     """
-    scale, costs = _scaled(inst.cost_table)
+    costs = inst.kernel.costs
     # Path costs are integers times ``scale``, so a path reaches the
     # threshold p/q where ``path * q >= p * scale``.
-    q, bar = threshold.denominator, threshold.numerator * scale
+    q, bar = threshold.denominator, threshold.numerator * inst.kernel.scale
     # Each entry copies ``node`` into ``slot[key]``.
     root: dict[int, DecisionTree] = {}
     stack = [(tree, 0, (), root, 0)]
@@ -228,6 +227,10 @@ def _splicer(
     return lambda threshold: _splice(expected_tree, threshold, inst, fallback)
 
 
+def _has_unit_prices(inst: Instance) -> bool:
+    return all(c == 1 for row in inst.cost_table for c in row)
+
+
 def combine_uniform(
     expected_tree: DecisionTree,
     worst_case_tree: DecisionTree,
@@ -245,10 +248,8 @@ def combine_uniform(
     expected-cost factor improves on the single-splice cap — for a trade-off
     of 2 it drops from 3/2 to 5/4.
     """
-    for t in inst.tests:
-        for cost in inst.cost_table[t]:
-            if cost != 1:
-                raise ValueError("the uniform variant requires unit costs")
+    if not _has_unit_prices(inst):
+        raise ValueError("the uniform variant requires unit costs")
     # Unit costs: path costs are integers at scale 1.
     reference = max(_price(worst_case_tree, inst)[0].values(), default=0)
     if reference < 1:

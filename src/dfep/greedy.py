@@ -18,7 +18,7 @@ contribute ``cost/pairs(G)``, i.e. full price for zero progress); pass
 occur.  Both variants are deterministic: score ties break toward the smallest
 test id.
 
-Scoring runs on a :class:`~dfep.model.Kernel` built once per public call:
+Scoring runs on the instance's :class:`~dfep.model.Kernel`, ``inst.kernel``:
 buckets are bitmask intersections, class histograms are popcounts, and scores
 are integer (numerator, denominator) pairs compared by cross-multiplication,
 so the choice is exactly the one the rational scores make.  A score becomes a
@@ -90,11 +90,16 @@ class GreedyTrace:
     steps: list[GreedyStep] = field(default_factory=list)
 
 
-def _checked_members(objects: Iterable[int], inst: Instance) -> frozenset[int]:
+def _group(objects: Iterable[int], inst: Instance, *tests: int) -> tuple[Kernel, int, list[int]]:
+    """The instance's kernel, the object set as a mask, and its class parts;
+    the objects are checked first, then ``tests``."""
     members = _check_objects(objects, inst)
     if not members:
         raise ValueError("cannot work with an empty object set")
-    return members
+    for test in tests:
+        _check_test(test, inst)
+    group = objects_mask(members)
+    return inst.kernel, group, _class_parts(inst.kernel, group)
 
 
 def _class_parts(kernel: Kernel, group: int) -> list[int]:
@@ -149,9 +154,10 @@ def _best(
 
 
 def _build(
-    kernel: Kernel, inst: Instance, group: int, include_empty: bool, trace: GreedyTrace | None
+    inst: Instance, group: int, include_empty: bool, trace: GreedyTrace | None
 ) -> DecisionTree:
     """The greedy tree over ``group``, built in pre-order on an explicit stack."""
+    kernel = inst.kernel
     root: dict[int, DecisionTree] = {}
     stack: list[tuple] = [(group, root, 0, range(len(kernel.costs)))]
     while stack:
@@ -193,11 +199,7 @@ def criterion_value(
     test has no such outcome among those an object can produce, and empty
     outcomes are charged against all of ``pairs(G)``.
     """
-    members = _checked_members(objects, inst)
-    _check_test(test, inst)
-    kernel = Kernel.of(inst)
-    group = objects_mask(members)
-    parts = _class_parts(kernel, group)
+    kernel, group, parts = _group(objects, inst, test)
     if len(parts) == 1:
         return None  # a split of a single-class set resolves no pairs
     best, _ = _best(kernel, group, parts, [test], include_empty_outcomes)
@@ -211,10 +213,7 @@ def select_test(
     include_empty_outcomes: bool = True,
 ) -> tuple[int, Fraction]:
     """The cheapest-progress test for a mixed object set, with its score."""
-    members = _checked_members(objects, inst)
-    kernel = Kernel.of(inst)
-    group = objects_mask(members)
-    parts = _class_parts(kernel, group)
+    kernel, group, parts = _group(objects, inst)
     if len(parts) == 1:
         raise ValueError("object set holds a single class; no test is needed")
     best, _ = _best(kernel, group, parts, range(inst.num_tests), include_empty_outcomes)
@@ -236,10 +235,8 @@ def divide_pairs(
     terminates in a valid tree.  Pass a :class:`GreedyTrace` to receive the
     per-node decisions.
     """
-    members = _checked_members(objects, inst)
-    return _build(
-        Kernel.of(inst), inst, objects_mask(members), include_empty_outcomes, trace
-    )
+    _, group, _ = _group(objects, inst)
+    return _build(inst, group, include_empty_outcomes, trace)
 
 
 def root_lower_bound(
@@ -257,13 +254,10 @@ def root_lower_bound(
     cost of the best tree, so it certifies near-optimality whenever the
     greedy lands close to it.
     """
-    members = _checked_members(objects, inst)
-    kernel = Kernel.of(inst)
-    group = objects_mask(members)
-    parts = _class_parts(kernel, group)
+    kernel, group, parts = _group(objects, inst)
     if len(parts) == 1:
         return Fraction(0)
-    tree = _build(kernel, inst, group, include_empty_outcomes, None)
+    tree = _build(inst, group, include_empty_outcomes, None)
     assert isinstance(tree, Internal)
     costs = kernel.costs[tree.test]
     # Scaled integer heights; ``max`` sends ties to the smallest outcome.

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, NoReturn, Sequence
 
-from dfep.combine import combine_trees, combine_uniform
+from dfep.combine import _has_unit_prices, combine_trees, combine_uniform
 from dfep.greedy import divide_pairs, root_lower_bound
 from dfep.harness.generate import COST_MODES, PRIOR_MODES, GeneratorSpec, generate
 from dfep.harness.io import (
@@ -353,10 +353,6 @@ def _check_caps(
 
 def _has_flat_prices(inst: Instance) -> bool:
     return all(len(set(row)) == 1 for row in inst.cost_table)
-
-
-def _has_unit_prices(inst: Instance) -> bool:
-    return all(c == 1 for row in inst.cost_table for c in row)
 
 
 def _check_optima(

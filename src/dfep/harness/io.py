@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from fractions import Fraction
 from typing import Any, Iterable, Union
 
@@ -19,6 +18,8 @@ from dfep.model import (
     Instance,
     Internal,
     Leaf,
+    _RATIONAL_TEXT,  # noqa: F401  (the grammar parse_rational accepts)
+    as_fraction,
     tree_objects,
     validate_instance,
     validate_tree,
@@ -49,30 +50,19 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-# Fraction would also read decimals, exponents, spaces and underscores, and
-# expands an exponent in full: "1e999999999" would build a billion-digit int.
-_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
 def parse_rational(raw: Any, where: str) -> Fraction:
     """Parse an int or a "p/q" string; ``where`` names the field in errors.
 
     A string is an optionally signed integer, or one over a positive
-    denominator written in digits: "3", "-2/6".
+    denominator written in digits: "3", "-2/6"; :func:`~dfep.model.as_fraction`
+    reads it.
     """
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
         raise ValueError(f"{where}: expected an integer or a 'p/q' string, got {raw!r}")
-    if isinstance(raw, str) and not _RATIONAL_TEXT.fullmatch(raw):
-        raise ValueError(f"{where}: not a rational: {raw!r} (expected digits or 'p/q')")
     try:
-        if isinstance(raw, int):
-            return Fraction(raw)
-        # The text is checked, so two int() calls replace Fraction's own
-        # string parser; a zero denominator raises as Fraction(raw) would.
-        numerator, _, denominator = raw.partition("/")
-        return Fraction(int(numerator), int(denominator or 1))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{where}: not a rational: {raw!r} ({exc})") from None
+        return as_fraction(raw)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _load_document(path: Pathish) -> Any:

@@ -20,9 +20,10 @@ nothing in this module — or in the packages built on it — rounds.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -52,13 +53,32 @@ __all__ = [
 ]
 
 
+# Fraction would also read decimals, exponents, spaces and underscores, and
+# expands an exponent in full: "1e999999999" would build a billion-digit int.
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce an int, a "p/q" string, or a Fraction to an exact Fraction."""
+    """Coerce an int, a "p/q" string, or a Fraction to an exact Fraction.
+
+    A string is an optionally signed integer, or one over a denominator
+    written in digits: "3", "-2/6".  Any other string raises ValueError.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
+    if not isinstance(value, str):
+        raise TypeError(f"not an exact rational: {value!r}")
+    if not _RATIONAL_TEXT.fullmatch(value):
+        raise ValueError(f"not a rational: {value!r} (expected digits or 'p/q')")
+    try:
+        # The text is checked, so two int() calls replace Fraction's own
+        # string parser; they fail where it would, with its message.
+        numerator, _, denominator = value.partition("/")
+        return Fraction(int(numerator), int(denominator or 1))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational: {value!r} ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -107,14 +127,12 @@ class Instance:
         """Cost charged when ``test`` answers ``outcome`` (1-based)."""
         return self.cost_table[test][outcome - 1]
 
-    def mass(self, objects: Iterable[int]) -> Fraction:
-        """Total prior probability of a set of objects (not renormalized)."""
-        return sum((self.priors[s] for s in objects), Fraction(0))
-
-    def is_homogeneous(self, objects: Iterable[int]) -> bool:
-        """True iff every object in the (possibly empty) set shares one class."""
-        seen = {self.classes[s] for s in objects}
-        return len(seen) <= 1
+    @cached_property
+    def kernel(self) -> "Kernel":
+        """The instance as a :class:`Kernel`, built on first use and kept; the
+        instance is frozen, so the kernel never goes stale.  Threads that read
+        it first at the same time may each build one, all equal."""
+        return Kernel.of(self)
 
     @classmethod
     def create(
@@ -212,17 +230,21 @@ class Kernel:
     * ``class_masks`` — one mask per class, in ascending label order.
     * ``costs[t][i-1]`` — ``cost(t, i) * scale``, an integer, where ``scale``
       is the least common multiple of the cost denominators.
+    * ``weights[s]`` — ``priors[s] * weight_scale``, an integer, where
+      ``weight_scale`` is the least common multiple of the prior denominators.
 
     A bucket of a node ``G`` is then ``G & outcome_masks[t][i-1]``, its class
     histogram comes from ``int.bit_count``, and cost ratios compare exactly by
-    integer cross-multiplication.  Build one per call with :meth:`of`; it is
-    derived from the instance alone and never cached.
+    integer cross-multiplication.  It is derived from the instance alone;
+    read it as :attr:`Instance.kernel`, which builds it once per instance.
     """
 
     outcome_masks: tuple[tuple[int, ...], ...]
     class_masks: tuple[int, ...]
     costs: tuple[tuple[int, ...], ...]
     scale: int
+    weights: tuple[int, ...]
+    weight_scale: int
 
     @classmethod
     def of(cls, inst: Instance) -> "Kernel":
@@ -247,11 +269,14 @@ class Kernel:
         for s, label in enumerate(inst.classes):
             labels[label] = labels.get(label, 0) | 1 << s
         scale, costs = _scaled(inst.cost_table)
+        weight_scale, (weights,) = _scaled((inst.priors,))
         return cls(
             outcome_masks=tuple(outcome_masks),
             class_masks=tuple(labels[label] for label in sorted(labels)),
             costs=tuple(map(tuple, costs)),
             scale=scale,
+            weights=tuple(weights),
+            weight_scale=weight_scale,
         )
 
 
@@ -510,20 +535,21 @@ def evaluate(tree: DecisionTree, inst: Instance) -> CostReport:
     ``inst.cost(t, i)``; a single leaf therefore costs nothing.  Raises if the
     tree mentions a test or object the instance does not know.
     """
-    costs, expected, scale, weight_scale = _price(tree, inst)
+    costs, expected = _price(tree, inst)
+    scale = inst.kernel.scale
     shared = {cost: Fraction(cost, scale) for cost in set(costs.values())}
     return CostReport(
         worst=Fraction(max(costs.values(), default=0), scale),
-        expected=Fraction(expected, scale * weight_scale),
+        expected=Fraction(expected, scale * inst.kernel.weight_scale),
         per_object={s: shared[cost] for s, cost in costs.items()},
     )
 
 
-def _price(tree: DecisionTree, inst: Instance) -> tuple[dict[int, int], int, int, int]:
-    """:func:`evaluate` in integers, with its checks: each object's path cost
-    times ``scale`` in evaluate's order, the expected cost times ``scale *
-    weight_scale``, and the two scales."""
-    scale, costs = _scaled(inst.cost_table)
+def _price(tree: DecisionTree, inst: Instance) -> tuple[dict[int, int], int]:
+    """:func:`evaluate` in the integers of ``inst.kernel``, with its checks:
+    each object's path cost times ``scale`` in evaluate's order, and the
+    expected cost times ``scale * weight_scale``."""
+    costs, weights = inst.kernel.costs, inst.kernel.weights
     k, n = inst.num_outcomes, inst.num_objects
     out: dict[int, int] = {}
     # Pre-order with ascending outcomes, on an explicit stack so that depth
@@ -546,10 +572,9 @@ def _price(tree: DecisionTree, inst: Instance) -> tuple[dict[int, int], int, int
             (node.test, i, node.children[i], acc)
             for i in sorted(node.children, reverse=True)
         )
-    weight_scale, (weights,) = _scaled((inst.priors,))
     # Summed after the walk: an object in two leaves counts once, at its last.
     expected = sum(cost * weights[s] for s, cost in out.items())
-    return out, expected, scale, weight_scale
+    return out, expected
 
 
 def validate_tree(tree: DecisionTree, objects: Iterable[int], inst: Instance) -> list[str]:

@@ -1,16 +1,16 @@
 """Exact baselines: optimal trees by exhaustive dynamic programming.
 
 These solvers exist to judge the fast algorithms, not to be fast themselves.
-All of them run on one table, built on a :class:`~dfep.model.Kernel` by an
-explicit stack: every object subset that usable tests reach from the input
-set, listed once with its splits, children before parents.  A subset is a
-bitmask, its bucket under a test is one AND, and costs and priors are
-integers scaled from the exact rationals.  Each solver is a short bottom-up
-fold over that table: plain dict reads of the children's values, each
-subset's prior mass summed once, and witness trees built only for the input
-set's winners.  The table is exponential, so the solvers refuse sets larger
-than a small cap; every call builds its own kernel and table.  Everything
-returns exact rationals and a witness tree alongside the optimal value.
+All of them run on one table, built on ``inst.kernel`` by an explicit stack:
+every object subset that usable tests reach from the input set, listed once
+with its splits, children before parents.  A subset is a bitmask, its bucket
+under a test is one AND, and costs and priors are integers scaled from the
+exact rationals.  Each solver is a short bottom-up fold over that table: plain
+dict reads of the children's values, each subset's prior mass summed once, and
+witness trees built only for the input set's winners.  The table is
+exponential, so the solvers refuse sets larger than a small cap; every call
+builds its own table.  Everything returns exact rationals and a witness tree
+alongside the optimal value.
 
 Provided here:
 
@@ -38,11 +38,9 @@ from dfep.model import (
     DecisionTree,
     Instance,
     Internal,
-    Kernel,
     Leaf,
     _check_objects,
     _incomplete,
-    _scaled,
     mask_objects,
     objects_mask,
 )
@@ -98,10 +96,9 @@ def harmonic(k: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, k + 1)), Fraction(0))
 
 
-def _table(objects: Iterable[int], inst: Instance, limit: int) -> tuple[list, Kernel]:
+def _table(objects: Iterable[int], inst: Instance, limit: int) -> list:
     """Every subset that usable tests reach from the object set, paired with
-    its splits, children before parents and the object set last; and the
-    instance's kernel.
+    its splits, children before parents and the object set last.
 
     A split is ``(test, buckets)``, one bucket mask per outcome (empty ones
     included), for each test with two or more nonempty buckets, in ascending
@@ -117,7 +114,7 @@ def _table(objects: Iterable[int], inst: Instance, limit: int) -> tuple[list, Ke
             f"instance too large for exact oracle: {len(members)} objects "
             f"(limit {limit})"
         )
-    kernel = Kernel.of(inst)
+    kernel = inst.kernel
     owner = [0] * inst.num_objects  # each object's class mask
     for part in kernel.class_masks:
         for s in mask_objects(part):
@@ -146,13 +143,13 @@ def _table(objects: Iterable[int], inst: Instance, limit: int) -> tuple[list, Ke
             for b in reversed(buckets)
             if b and b not in table
         )
-    return sorted(table.items(), key=lambda entry: entry[0].bit_count()), kernel
+    return sorted(table.items(), key=lambda entry: entry[0].bit_count())
 
 
-def _masses(inst: Instance, rows: list) -> tuple[dict[int, int], int]:
-    """The prior mass of each subset in ``rows``, and of the empty one, times
-    ``scale``, an integer; and that scale."""
-    scale, (weights,) = _scaled((inst.priors,))
+def _masses(inst: Instance, rows: list) -> dict[int, int]:
+    """The prior mass of each subset in ``rows``, and of the empty one, in
+    the kernel's weights: an integer times ``weight_scale``."""
+    weights = inst.kernel.weights
     mass = {0: 0}
     for mask, _ in rows:
         total, rest = 0, mask
@@ -161,7 +158,7 @@ def _masses(inst: Instance, rows: list) -> tuple[dict[int, int], int]:
             total += weights[low.bit_length() - 1]
             rest ^= low
         mass[mask] = total
-    return mass, scale
+    return mass
 
 
 def _tree(witness: Any, inst: Instance) -> DecisionTree:
@@ -182,13 +179,11 @@ def _tree(witness: Any, inst: Instance) -> DecisionTree:
     return built[id(witness)]
 
 
-def _optimum(
-    rows: list, kernel: Kernel, inst: Instance, price: Callable
-) -> tuple[int, DecisionTree]:
+def _optimum(rows: list, inst: Instance, price: Callable) -> tuple[int, DecisionTree]:
     """The least ``price(costs, buckets, value)`` over the object set, where
     ``value`` holds every smaller subset's optimum and 0 for the empty one,
     and a tree achieving it; ties go to the smallest test id."""
-    costs, value = kernel.costs, {0: 0}
+    costs, value = inst.kernel.costs, {0: 0}
     witness: dict[int, Any] = {}
     for mask, splits in rows:
         if splits:
@@ -209,25 +204,24 @@ def _worst_price(costs: tuple[int, ...], buckets: tuple[int, ...], value: dict) 
 
 def opt_worst(objects: Iterable[int], inst: Instance) -> OracleResult:
     """Minimum worst-case cost of any valid tree over the given objects."""
-    rows, kernel = _table(objects, inst, DP_OBJECT_LIMIT)
-    value, tree = _optimum(rows, kernel, inst, _worst_price)
-    return OracleResult(value=Fraction(value, kernel.scale), tree=tree, explored=len(rows))
+    rows = _table(objects, inst, DP_OBJECT_LIMIT)
+    value, tree = _optimum(rows, inst, _worst_price)
+    return OracleResult(value=Fraction(value, inst.kernel.scale), tree=tree, explored=len(rows))
 
 
 def opt_expected(objects: Iterable[int], inst: Instance) -> OracleResult:
     """Minimum prior-weighted expected cost of any valid tree."""
-    rows, kernel = _table(objects, inst, DP_OBJECT_LIMIT)
-    mass, weight_scale = _masses(inst, rows)
+    rows = _table(objects, inst, DP_OBJECT_LIMIT)
+    mass = _masses(inst, rows)
 
     def price(costs: tuple[int, ...], buckets: tuple[int, ...], value: dict) -> int:
         return sum(map(mul, map(mass.__getitem__, buckets), costs)) + sum(
             map(value.__getitem__, buckets)
         )
 
-    value, tree = _optimum(rows, kernel, inst, price)
-    return OracleResult(
-        value=Fraction(value, kernel.scale * weight_scale), tree=tree, explored=len(rows)
-    )
+    value, tree = _optimum(rows, inst, price)
+    scale = inst.kernel.scale * inst.kernel.weight_scale
+    return OracleResult(value=Fraction(value, scale), tree=tree, explored=len(rows))
 
 
 def _staircase(points: list[tuple[int, int, Any]]) -> list[tuple[int, int, Any]]:
@@ -248,8 +242,8 @@ def _frontier(objects: Iterable[int], inst: Instance) -> tuple[list[FrontierPoin
     Points carry witnesses as :func:`_tree` reads them; only the object
     set's winners become trees.
     """
-    rows, kernel = _table(objects, inst, DP_OBJECT_LIMIT)
-    mass, weight_scale = _masses(inst, rows)
+    rows, kernel = _table(objects, inst, DP_OBJECT_LIMIT), inst.kernel
+    mass = _masses(inst, rows)
     points: dict[int, list[tuple[int, int, Any]]] = {}
     for mask, splits in rows:
         if not splits:
@@ -282,7 +276,7 @@ def _frontier(objects: Iterable[int], inst: Instance) -> tuple[list[FrontierPoin
     frontier = [
         FrontierPoint(
             Fraction(worst, kernel.scale),
-            Fraction(expected, kernel.scale * weight_scale),
+            Fraction(expected, kernel.scale * kernel.weight_scale),
             _tree(witness, inst),
         )
         for worst, expected, witness in points[rows[-1][0]]
@@ -330,7 +324,7 @@ def enumerate_trees(objects: Iterable[int], inst: Instance) -> list[DecisionTree
     equal minima over all valid trees.  The family is exponential, hence the
     tight object cap.
     """
-    rows, _ = _table(objects, inst, ENUMERATION_OBJECT_LIMIT)
+    rows = _table(objects, inst, ENUMERATION_OBJECT_LIMIT)
     trees: dict[int, list[DecisionTree]] = {}
     for mask, splits in rows:
         if not splits:

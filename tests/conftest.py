@@ -80,6 +80,16 @@ def run_dfep(*argv: str, cwd, text: bool = False) -> subprocess.CompletedProcess
     return run_python("-m", "dfep", *argv, cwd=cwd, text=text)
 
 
+def is_homogeneous(objects, inst: Instance) -> bool:
+    """True iff every object in the (possibly empty) set shares one class."""
+    return len({inst.classes[s] for s in objects}) <= 1
+
+
+def prior_mass(objects, inst: Instance) -> Fraction:
+    """Total prior probability of a set of objects (not renormalized)."""
+    return sum((inst.priors[s] for s in objects), Fraction(0))
+
+
 def brute_force_pair_count(objects, inst: Instance) -> int:
     """Count separable pairs by checking every unordered pair directly."""
     members = sorted(objects)
@@ -189,7 +199,7 @@ def reference_select_test(
     members: frozenset[int], inst: Instance, include_empty: bool
 ) -> tuple[int, Fraction]:
     """The lowest-scoring test, ties to the smallest id; raises like the library."""
-    if inst.is_homogeneous(members):
+    if is_homogeneous(members, inst):
         raise ValueError("object set holds a single class; no test is needed")
     best = None
     for t in inst.tests:
@@ -211,7 +221,7 @@ def reference_divide_pairs(
     trace: GreedyTrace | None = None,
 ) -> DecisionTree:
     """The greedy tree by plain recursion, recording steps in pre-order."""
-    if inst.is_homogeneous(members):
+    if is_homogeneous(members, inst):
         return Leaf(class_id=inst.classes[min(members)], objects=members)
     test, score = reference_select_test(members, inst, include_empty)
     buckets = partition(members, test, inst)
@@ -238,7 +248,7 @@ def reference_root_lower_bound(
     members: frozenset[int], inst: Instance, include_empty: bool
 ) -> Fraction:
     """The root bound from a fresh greedy build below each root bucket."""
-    if inst.is_homogeneous(members):
+    if is_homogeneous(members, inst):
         return Fraction(0)
     test, _ = reference_select_test(members, inst, include_empty)
     buckets = partition(members, test, inst)
@@ -277,7 +287,7 @@ def reference_opt(members: frozenset[int], inst: Instance, measure: str, memo: d
     the smallest test id."""
     if members in memo:
         return memo[members]
-    if inst.is_homogeneous(members):
+    if is_homogeneous(members, inst):
         result = (Fraction(0), _reference_leaf(members, inst))
     else:
         result = None
@@ -291,7 +301,7 @@ def reference_opt(members: frozenset[int], inst: Instance, measure: str, memo: d
                 if measure == "worst":
                     value = max(value, inst.cost(t, outcome) + sub_value)
                 else:
-                    value += inst.mass(buckets[outcome]) * inst.cost(t, outcome) + sub_value
+                    value += prior_mass(buckets[outcome], inst) * inst.cost(t, outcome) + sub_value
             if result is None or value < result[0]:
                 result = (value, Internal(test=t, children=children))
     memo[members] = result
@@ -308,7 +318,7 @@ def reference_budget(
         return memo[key]
     if budget < reference_opt(members, inst, "worst", worst_memo)[0]:
         result = None
-    elif inst.is_homogeneous(members):
+    elif is_homogeneous(members, inst):
         result = (Fraction(0), _reference_leaf(members, inst))
     else:
         result = None
@@ -320,7 +330,7 @@ def reference_budget(
                 sub = reference_budget(buckets[outcome], budget - cost, inst, memo, worst_memo)
                 if sub is None:
                     break
-                total += inst.mass(buckets[outcome]) * cost + sub[0]
+                total += prior_mass(buckets[outcome], inst) * cost + sub[0]
                 children[outcome] = sub[1]
             else:
                 if result is None or total < result[0]:
@@ -332,7 +342,7 @@ def reference_budget(
 def _reference_path_costs(members: frozenset[int], inst: Instance, memo: dict) -> set:
     """Every root-to-leaf path cost of every canonical tree over the set."""
     if members not in memo:
-        if inst.is_homogeneous(members):
+        if is_homogeneous(members, inst):
             memo[members] = {Fraction(0)}
         else:
             memo[members] = {
@@ -538,8 +548,9 @@ def splice_cases(draw, coprime_priors: bool = False):
 
 def reference_kernel(inst: Instance) -> Kernel:
     """:meth:`Kernel.of` one table entry at a time: each outcome mask ORs in
-    one bit per object, and each price is the ``Fraction`` times the lcm of
-    the cost denominators."""
+    one bit per object, each price is the ``Fraction`` times the lcm of the
+    cost denominators, and each weight is the prior times the lcm of the
+    prior denominators."""
     n, k = inst.num_objects, inst.num_outcomes
     outcome_masks = []
     for t, row in enumerate(inst.outcome_table):
@@ -551,6 +562,7 @@ def reference_kernel(inst: Instance) -> Kernel:
         outcome_masks.append(tuple(masks))
     labels = sorted(set(inst.classes))
     scale = lcm(*(c.denominator for row in inst.cost_table for c in row))
+    weight_scale = lcm(*(p.denominator for p in inst.priors))
     return Kernel(
         outcome_masks=tuple(outcome_masks),
         class_masks=tuple(
@@ -558,6 +570,8 @@ def reference_kernel(inst: Instance) -> Kernel:
         ),
         costs=tuple(tuple(int(c * scale) for c in row) for row in inst.cost_table),
         scale=scale,
+        weights=tuple(int(p * weight_scale) for p in inst.priors),
+        weight_scale=weight_scale,
     )
 
 

@@ -29,6 +29,7 @@ from dfep.model import (
 )
 from dfep.oracle import harmonic, opt_worst
 from tests.conftest import (
+    is_homogeneous,
     random_complete_instance,
     reference_criterion_value,
     reference_divide_pairs,
@@ -217,7 +218,7 @@ class TestFixedCostSpecialization:
     def reference_tree(members, inst):
         """Independent rebuild using the flat-cost form of the rule:
         cost divided by pairs resolved on the least helpful answer."""
-        if inst.is_homogeneous(members):
+        if is_homogeneous(members, inst):
             return Leaf(inst.classes[next(iter(members))], members)
         total = pair_count(members, inst)
         best = None

@@ -4,18 +4,21 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfep.combine import combine_trees, combine_uniform
 from dfep.model import (
+    _RATIONAL_TEXT,
     Instance,
     Internal,
     Kernel,
     Leaf,
+    as_fraction,
     evaluate,
     iter_leaves,
     pair_count,
@@ -66,6 +69,46 @@ class TestInstanceCreate:
             Instance.create([0, 1], [[1, 2]], costs=[[1]])
         with pytest.raises(ValueError):
             Instance.create([], [])
+
+
+class TestAsFraction:
+    # Fraction alone would read all of these, and would expand the exponent
+    # in full: a 10-million-bit numerator for the last one.
+    OUTSIDE_THE_GRAMMAR = ("0.5", "1e3", "1E-2", " 1/2", "1/2 ", "1 / 2", "1_000", "1e3000000")
+
+    @pytest.mark.parametrize("text", OUTSIDE_THE_GRAMMAR)
+    def test_other_strings_are_refused(self, text):
+        message = "^" + re.escape(f"not a rational: {text!r} (expected digits or 'p/q')") + "$"
+        with pytest.raises(ValueError, match=message):
+            as_fraction(text)
+        with pytest.raises(ValueError, match=message):
+            Instance.create([0, 1], [[1, 2]], priors=[text, "1/2"])
+        with pytest.raises(ValueError, match=message):
+            Instance.create([0, 1], [[1, 2]], costs=[[1, text]])
+        inst = Instance.create([0, 1], [[1, 2]])
+        tree = Internal(0, {1: Leaf(0, frozenset({0})), 2: Leaf(1, frozenset({1}))})
+        with pytest.raises(ValueError, match=message):
+            combine_trees(tree, tree, text, inst)
+
+    def test_ints_and_fractions_pass_and_other_types_do_not(self):
+        assert as_fraction(3) == 3 and type(as_fraction(3)) is Fraction
+        half = Fraction(1, 2)
+        assert as_fraction(half) is half
+        with pytest.raises(TypeError, match="not an exact rational: 0.5"):
+            as_fraction(0.5)
+
+    @given(st.from_regex(_RATIONAL_TEXT, fullmatch=True))
+    @example("-5/0")
+    @example("+007/14")
+    @example("9" * 4301)
+    def test_grammar_strings_read_as_fraction_reads_them(self, text):
+        try:
+            expected = "ok", Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            expected = "error", f"not a rational: {text!r} ({exc})"
+        got = result_or_error(as_fraction, text)
+        assert got == expected
+        assert type(got[1]) is type(expected[1])
 
 
 class TestValidateInstance:
