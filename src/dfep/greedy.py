@@ -254,11 +254,16 @@ def root_lower_bound(
     cost of the best tree, so it certifies near-optimality whenever the
     greedy lands close to it.
     """
-    kernel, group, parts = _group(objects, inst)
-    if len(parts) == 1:
-        return Fraction(0)
-    tree = _build(inst, group, include_empty_outcomes, None)
-    assert isinstance(tree, Internal)
+    _, group, parts = _group(objects, inst)
+    return _lower_bound(_build(inst, group, include_empty_outcomes, None), parts, inst)
+
+
+def _lower_bound(tree: DecisionTree, parts: list[int], inst: Instance) -> Fraction:
+    """:func:`root_lower_bound` read off an already built greedy tree over
+    the objects whose class parts are ``parts``."""
+    if isinstance(tree, Leaf):
+        return Fraction(0)  # a single class needs no test
+    kernel = inst.kernel
     costs = kernel.costs[tree.test]
     # Scaled integer heights; ``max`` sends ties to the smallest outcome.
     heights = {

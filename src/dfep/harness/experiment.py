@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, NoReturn, Sequence
 
-from dfep.combine import _has_unit_prices, combine_trees, combine_uniform
-from dfep.greedy import divide_pairs, root_lower_bound
+from dfep.combine import _has_unit_prices, _splicer, combine_uniform
+from dfep.greedy import _lower_bound, _pairs_in, divide_pairs
 from dfep.harness.generate import COST_MODES, PRIOR_MODES, GeneratorSpec, generate
 from dfep.harness.io import (
     Pathish,
@@ -42,8 +42,8 @@ from dfep.harness.io import (
     parse_rational,
     tree_to_doc,
 )
-from dfep.model import DecisionTree, Instance, evaluate, pair_count
-from dfep.oracle import DP_OBJECT_LIMIT, OracleResult, harmonic, opt_expected, opt_worst
+from dfep.model import DecisionTree, Instance, evaluate
+from dfep.oracle import DP_OBJECT_LIMIT, OracleResult, _optima, harmonic
 
 __all__ = [
     "BoundViolation",
@@ -393,8 +393,7 @@ def _check_optima(
     subset = frozenset(s for s in inst.objects if rng.random() < 0.5)
     if not subset:
         subset = frozenset({min(inst.objects)})
-    sub_worst = opt_worst(subset, inst).value
-    sub_expected = opt_expected(subset, inst).value
+    sub_worst, sub_expected = (result.value for result in _optima(subset, inst))
     if sub_worst > best_worst or sub_expected > best_expected:
         _violate(
             config,
@@ -413,8 +412,12 @@ def _check_optima(
     trade_offs: list[TradeOffOutcome] = []
     inputs = (expected_result.tree, worst_result.tree)
     flat = _has_flat_prices(inst)
+    # What combine_trees does per trade-off, done once: price the fallback
+    # and check that both trees cover the same objects.
+    fallback_worst = evaluate(worst_result.tree, inst).worst
+    splice = _splicer(*inputs, inst)
     for ratio in config.rho_grid:
-        spliced = combine_trees(*inputs, ratio, inst)
+        spliced = splice(ratio * fallback_worst)
         trade_offs.append(
             _check_caps(
                 config, inst, inputs, spliced, "splice", ratio,
@@ -469,11 +472,10 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
         )
         inst = generate(spec)
         everything = frozenset(inst.objects)
+        parts = list(inst.kernel.class_masks)  # the whole set holds every class
         greedy_tree = divide_pairs(everything, inst)
         greedy_report = evaluate(greedy_tree, inst)
-        optima = None
-        if config.oracle_checks:
-            optima = (opt_worst(everything, inst), opt_expected(everything, inst))
+        optima = _optima(everything, inst) if config.oracle_checks else None
 
         row = ExperimentRow(
             index=index,
@@ -484,10 +486,10 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
             num_tests=inst.num_tests,
             num_outcomes=inst.num_outcomes,
             cost_mode=config.cost_mode,
-            separable_pairs=pair_count(everything, inst),
+            separable_pairs=_pairs_in(parts),
             greedy_worst=greedy_report.worst,
             greedy_expected=greedy_report.expected,
-            lower_bound=root_lower_bound(everything, inst),
+            lower_bound=_lower_bound(greedy_tree, parts, inst),
             opt_worst=None if optima is None else optima[0].value,
             opt_expected=None if optima is None else optima[1].value,
             trade_offs=(),

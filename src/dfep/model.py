@@ -63,10 +63,11 @@ def as_fraction(value: RationalLike) -> Fraction:
 
     A string is an optionally signed integer, or one over a denominator
     written in digits: "3", "-2/6".  Any other string raises ValueError.
+    A bool is a flag, not a number, and raises TypeError like other types.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if not isinstance(value, str):
         raise TypeError(f"not an exact rational: {value!r}")
@@ -249,6 +250,8 @@ class Kernel:
     @classmethod
     def of(cls, inst: Instance) -> "Kernel":
         n, k = inst.num_objects, inst.num_outcomes
+        if len(inst.priors) != n:
+            raise ValueError(f"priors: expected {n} entries, got {len(inst.priors)}")
         tables = _outcome_digits(k) if k <= 255 else ()
         outcome_masks = []
         for t, row in enumerate(inst.outcome_table):

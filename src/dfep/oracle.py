@@ -8,9 +8,11 @@ under a test is one AND, and costs and priors are integers scaled from the
 exact rationals.  Each solver is a short bottom-up fold over that table: plain
 dict reads of the children's values, each subset's prior mass summed once, and
 witness trees built only for the input set's winners.  The table is
-exponential, so the solvers refuse sets larger than a small cap; every call
-builds its own table.  Everything returns exact rationals and a witness tree
-alongside the optimal value.
+exponential, so the solvers refuse sets larger than a small cap.  Each public
+call builds its own table; ``_optima`` serves both optima of one object set
+from one table and one pass over it, for callers that need the pair.
+Everything returns exact rationals and a witness tree alongside the optimal
+value.
 
 Provided here:
 
@@ -179,39 +181,42 @@ def _tree(witness: Any, inst: Instance) -> DecisionTree:
     return built[id(witness)]
 
 
-def _optimum(rows: list, inst: Instance, price: Callable) -> tuple[int, DecisionTree]:
-    """The least ``price(costs, buckets, value)`` over the object set, where
-    ``value`` holds every smaller subset's optimum and 0 for the empty one,
-    and a tree achieving it; ties go to the smallest test id."""
-    costs, value = inst.kernel.costs, {0: 0}
-    witness: dict[int, Any] = {}
+def _witness(mask: int, choice: dict[int, tuple]) -> Any:
+    """The witness, as :func:`_tree` reads it, of the tree that takes each
+    mixed subset's split in ``choice`` down from ``mask``.  It recurses once
+    per level, and a table's sets have at most ``DP_OBJECT_LIMIT`` objects."""
+    if mask not in choice:
+        return mask
+    test, buckets = choice[mask]
+    return test, tuple((i, _witness(b, choice)) for i, b in enumerate(buckets, start=1) if b)
+
+
+def _optimum(rows: list, inst: Instance, *prices: Callable) -> list[tuple[int, DecisionTree]]:
+    """For each of ``prices``, the least ``price(costs, buckets, value)`` over
+    the object set, where ``value`` holds every smaller subset's optimum under
+    that price and 0 for the empty one, and a tree achieving it; ties go to
+    the smallest test id.  One pass over the table serves every price."""
+    costs = inst.kernel.costs
+    folds = [(price, {0: 0}, {}) for price in prices]
     for mask, splits in rows:
-        if splits:
-            prices = [price(costs[test], buckets, value) for test, buckets in splits]
-            value[mask] = best = min(prices)
-            test, buckets = splits[prices.index(best)]
-            kids = tuple((i, witness[b]) for i, b in enumerate(buckets, start=1) if b)
-            witness[mask] = (test, kids)
-        else:
-            value[mask], witness[mask] = 0, mask
+        for price, value, choice in folds:
+            if splits:
+                scores = [price(costs[test], buckets, value) for test, buckets in splits]
+                value[mask] = best = min(scores)
+                choice[mask] = splits[scores.index(best)]
+            else:
+                value[mask] = 0
     root = rows[-1][0]
-    return value[root], _tree(witness[root], inst)
+    return [(value[root], _tree(_witness(root, choice), inst)) for _, value, choice in folds]
 
 
 def _worst_price(costs: tuple[int, ...], buckets: tuple[int, ...], value: dict) -> int:
     return max(cost + value[b] for cost, b in zip(costs, buckets) if b)
 
 
-def opt_worst(objects: Iterable[int], inst: Instance) -> OracleResult:
-    """Minimum worst-case cost of any valid tree over the given objects."""
-    rows = _table(objects, inst, DP_OBJECT_LIMIT)
-    value, tree = _optimum(rows, inst, _worst_price)
-    return OracleResult(value=Fraction(value, inst.kernel.scale), tree=tree, explored=len(rows))
-
-
-def opt_expected(objects: Iterable[int], inst: Instance) -> OracleResult:
-    """Minimum prior-weighted expected cost of any valid tree."""
-    rows = _table(objects, inst, DP_OBJECT_LIMIT)
+def _expected_price(rows: list, inst: Instance) -> Callable:
+    """The expected-cost price over the subsets of ``rows``: each bucket's
+    prior mass times its cost, plus its optimum."""
     mass = _masses(inst, rows)
 
     def price(costs: tuple[int, ...], buckets: tuple[int, ...], value: dict) -> int:
@@ -219,9 +224,36 @@ def opt_expected(objects: Iterable[int], inst: Instance) -> OracleResult:
             map(value.__getitem__, buckets)
         )
 
-    value, tree = _optimum(rows, inst, price)
-    scale = inst.kernel.scale * inst.kernel.weight_scale
-    return OracleResult(value=Fraction(value, scale), tree=tree, explored=len(rows))
+    return price
+
+
+def _optima(
+    objects: Iterable[int], inst: Instance, *, worst: bool = True, expected: bool = True
+) -> list[OracleResult]:
+    """The optimum of each measure asked for, worst-case first, from one
+    table and one pass over it."""
+    rows, kernel = _table(objects, inst, DP_OBJECT_LIMIT), inst.kernel
+    prices, scales = [], []
+    if worst:
+        prices.append(_worst_price)
+        scales.append(kernel.scale)
+    if expected:
+        prices.append(_expected_price(rows, inst))
+        scales.append(kernel.scale * kernel.weight_scale)
+    return [
+        OracleResult(value=Fraction(value, scale), tree=tree, explored=len(rows))
+        for (value, tree), scale in zip(_optimum(rows, inst, *prices), scales)
+    ]
+
+
+def opt_worst(objects: Iterable[int], inst: Instance) -> OracleResult:
+    """Minimum worst-case cost of any valid tree over the given objects."""
+    return _optima(objects, inst, expected=False)[0]
+
+
+def opt_expected(objects: Iterable[int], inst: Instance) -> OracleResult:
+    """Minimum prior-weighted expected cost of any valid tree."""
+    return _optima(objects, inst, worst=False)[0]
 
 
 def _staircase(points: list[tuple[int, int, Any]]) -> list[tuple[int, int, Any]]:

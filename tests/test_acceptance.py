@@ -13,6 +13,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dfep.combine import combine_trees, combine_uniform
 from dfep.greedy import divide_pairs, root_lower_bound
@@ -25,7 +27,7 @@ from dfep.model import (
     separated_pairs,
 )
 from dfep.oracle import enumerate_trees, harmonic, opt_expected, opt_worst
-from tests.conftest import brute_force_pair_count, run_dfep
+from tests.conftest import brute_force_pair_count, run_dfep, splice_cases
 
 ALL_COST_MODES = ("unit", "fixed-random", "value-dependent-random")
 
@@ -253,6 +255,28 @@ def test_criterion_7_pair_identities_hold_across_ten_thousand_cases():
         f"{cases} cases: pair decomposition, subset monotonicity, and "
         "restriction dominance — zero failures",
     )
+
+
+@given(splice_cases(), st.data())
+def test_criterion_7_pair_identities_hold_on_drawn_cases(case, data):
+    # The seeded loop above is the gate; this draws the same identities on
+    # any object subset, where shrinking can name a minimal failure.
+    inst, members, built, _ = case
+    total = pair_count(members, inst)
+    assert total == brute_force_pair_count(members, inst)
+    for test in inst.tests:
+        buckets = partition(members, test, inst)
+        scattered = sum(pair_count(bucket, inst) for bucket in buckets.values())
+        assert total == separated_pairs(members, test, inst) + scattered
+    subset = data.draw(st.frozensets(st.sampled_from(sorted(members))))
+    inner = data.draw(st.frozensets(st.sampled_from(sorted(subset)))) if subset else subset
+    assert pair_count(inner, inst) <= pair_count(subset, inst) <= total
+    keep = data.draw(st.frozensets(st.sampled_from(sorted(members)), min_size=1))
+    before = evaluate(built, inst)
+    after = evaluate(restrict_tree(built, keep, inst), inst)
+    assert set(after.per_object) == set(keep)
+    assert all(after.per_object[s] <= before.per_object[s] for s in keep)
+    assert after.worst <= before.worst
 
 
 def _cli_round(tmp_path, tag: str) -> dict[str, bytes]:

@@ -225,6 +225,9 @@ class TestRationalText:
             parse_rational("one half", "priors[2]")
         with pytest.raises(ValueError, match="expected an integer or a 'p/q' string"):
             parse_rational(0.5, "x")
+        refusal = "^x: expected an integer or a 'p/q' string, got True$"
+        with pytest.raises(ValueError, match=refusal):
+            parse_rational(True, "x")
         with pytest.raises(ValueError, match="not a rational"):
             parse_rational("1/0", "x")
         # Only digits and one '/': Fraction would read decimals and exponents,
@@ -696,8 +699,8 @@ class TestRunExperiment:
                 {"greedy", "optimal_worst"},
             ),
             (
-                "root_lower_bound",
-                lambda objects, inst: Fraction(100),
+                "_lower_bound",
+                lambda tree, parts, inst: Fraction(100),
                 "root lower bound",
                 {"lower_bound": "100", "optimum": "2"},
                 {"optimal_worst"},

@@ -1,5 +1,7 @@
 """The instance's integer view: ``Instance.kernel`` is built once per
-instance, every layer reads it, and a replaced instance gets its own."""
+instance, every layer reads it, and a replaced instance gets its own.  An
+experiment item builds each of the structures read off it once per object
+set: one subset table for both optima, one greedy tree."""
 
 from __future__ import annotations
 
@@ -12,12 +14,13 @@ from fractions import Fraction
 
 import pytest
 
+from dfep import greedy, oracle
 from dfep.combine import combine_trees, combine_uniform, find_replaceable
 from dfep.greedy import criterion_value, divide_pairs, root_lower_bound, select_test
 from dfep.harness import experiment
 from dfep.harness.experiment import ExperimentConfig, run_experiment
 from dfep.harness.io import read_instance
-from dfep.model import Instance, Internal, Kernel, Leaf, evaluate
+from dfep.model import Instance, Internal, Kernel, Leaf, evaluate, validate_instance
 from dfep.oracle import opt_expected, opt_worst, pareto_frontier
 from tests.conftest import random_complete_instance, reference_evaluate
 
@@ -54,6 +57,38 @@ def test_an_experiment_item_builds_one_kernel_per_drawn_instance(
     assert all(row.trade_offs for row in rows), "oracle checks should have run"
     assert len(drawn) == 2
     assert [id(inst) for inst in kernels_built] == [id(inst) for inst in drawn]
+
+
+@pytest.mark.parametrize(
+    "cost_mode, oracle_checks, tables",
+    [("unit", True, 2), ("value-dependent-random", True, 2), ("unit", False, 0)],
+)
+def test_an_experiment_item_builds_each_table_and_greedy_tree_once(
+    monkeypatch, tmp_path, cost_mode, oracle_checks, tables
+):
+    # One table serves both optima of the whole set, one more both optima of
+    # the random subset, and the root lower bound reads the greedy tree built
+    # for the row.
+    calls: list[str] = []
+    for module, name in ((oracle, "_table"), (greedy, "_build")):
+        original = getattr(module, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    config = ExperimentConfig(
+        seed=1406,
+        count=1,
+        objects=(6, 8),
+        cost_mode=cost_mode,
+        oracle_checks=oracle_checks,
+        replay_path=str(tmp_path / "replay.json"),
+    )
+    (row,) = run_experiment(config)
+    assert bool(row.trade_offs) is oracle_checks
+    assert (calls.count("_table"), calls.count("_build")) == (tables, 1)
 
 
 def test_every_layer_reads_the_one_kernel(kernels_built):
@@ -168,3 +203,29 @@ class TestOutcomeTableTheKernelRejects:
         with pytest.raises(ValueError, match="outside 1..2"):
             read_instance(path)
         self.check(read_instance(path, validate=False))
+
+
+class TestPriorCountTheKernelRejects:
+    """A directly built instance with one prior too few or too many fails the
+    kernel with validate_instance's own message, in every layer that reads
+    the kernel, instead of an IndexError deep in a loop."""
+
+    @pytest.mark.parametrize("priors", [(Fraction(1),), (Fraction(1, 3),) * 3])
+    def test_directly_built(self, priors):
+        inst = Instance(
+            classes=(0, 1),
+            num_outcomes=2,
+            outcome_table=((1, 2),),
+            priors=priors,
+            cost_table=((Fraction(1), Fraction(1)),),
+        )
+        message = f"^priors: expected 2 entries, got {len(priors)}$"
+        tree = Internal(0, {1: Leaf(0, frozenset({0})), 2: Leaf(1, frozenset({1}))})
+        for call in (
+            lambda: evaluate(tree, inst),
+            lambda: opt_expected(inst.objects, inst),
+            lambda: divide_pairs(inst.objects, inst),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert validate_instance(inst) == [message[1:-1]]

@@ -97,6 +97,23 @@ class TestAsFraction:
         with pytest.raises(TypeError, match="not an exact rational: 0.5"):
             as_fraction(0.5)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bools_are_refused_everywhere_a_rational_is_read(self, flag):
+        # bool is an int subclass: Fraction(True) would quietly read as 1.
+        message = f"^not an exact rational: {flag}$"
+        with pytest.raises(TypeError, match=message):
+            as_fraction(flag)
+        with pytest.raises(TypeError, match=message):
+            Instance.create([0, 1], [[1, 2]], costs=[flag])
+        with pytest.raises(TypeError, match=message):
+            Instance.create([0, 1], [[1, 2]], costs=[[1, flag]])
+        with pytest.raises(TypeError, match=message):
+            Instance.create([0, 1], [[1, 2]], priors=[flag, "1/2"])
+        inst = Instance.create([0, 1], [[1, 2]])
+        tree = Internal(0, {1: Leaf(0, frozenset({0})), 2: Leaf(1, frozenset({1}))})
+        with pytest.raises(TypeError, match=message):
+            combine_trees(tree, tree, flag, inst)
+
     @given(st.from_regex(_RATIONAL_TEXT, fullmatch=True))
     @example("-5/0")
     @example("+007/14")

@@ -15,6 +15,7 @@ from dfep.model import Instance, evaluate, validate_tree
 from dfep.oracle import (
     DP_OBJECT_LIMIT,
     FrontierPoint,
+    _optima,
     enumerate_trees,
     harmonic,
     opt_expected,
@@ -318,22 +319,26 @@ class TestMatchesFractionReference:
                 assert report.worst <= budget and report.expected == result.value
 
 
+def at_the_cap(seed: int) -> Instance:
+    """The benchmark's frontier shape: DP_OBJECT_LIMIT objects, ten ternary
+    tests, answer-dependent prices and random priors."""
+    return generate(
+        GeneratorSpec(
+            num_objects=DP_OBJECT_LIMIT,
+            num_classes=4,
+            num_tests=10,
+            num_outcomes=3,
+            cost_mode="value-dependent-random",
+            prior_mode="random",
+            seed=7100 + seed,
+        )
+    )
+
+
 class TestAtTheObjectCap:
-    # The benchmark's frontier shape: DP_OBJECT_LIMIT objects, ten ternary
-    # tests, answer-dependent prices and random priors.
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_fraction_reference(self, seed):
-        inst = generate(
-            GeneratorSpec(
-                num_objects=DP_OBJECT_LIMIT,
-                num_classes=4,
-                num_tests=10,
-                num_outcomes=3,
-                cost_mode="value-dependent-random",
-                prior_mode="random",
-                seed=7100 + seed,
-            )
-        )
+        inst = at_the_cap(seed)
         members = frozenset(inst.objects)
         for solver, measure in ((opt_worst, "worst"), (opt_expected, "expected")):
             got = solver(members, inst)
@@ -347,6 +352,31 @@ class TestAtTheObjectCap:
             assert (report.worst, report.expected) == (point.budget, point.expected)
 
 
+class TestOneFoldForBothMeasures:
+    """``_optima`` folds one table for both measures; each result must be
+    the one the standalone solver gives: value, tree (so the first-minimum
+    tie-break) and ``explored``, or the same error."""
+
+    @staticmethod
+    def check(members, inst) -> None:
+        shared = result_or_error(_optima, members, inst)
+        alone = [result_or_error(solver, members, inst) for solver in (opt_worst, opt_expected)]
+        if shared[0] == "error":
+            assert alone == [shared, shared]
+        else:
+            assert alone == [("ok", result) for result in shared[1]]
+
+    @given(oracle_cases())
+    def test_matches_the_standalone_solvers(self, case):
+        inst, members = case
+        self.check(members, inst)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_standalone_solvers_at_the_cap(self, seed):
+        inst = at_the_cap(seed)
+        self.check(frozenset(inst.objects), inst)
+
+
 class TestNoCyclicGarbage:
     """The solvers free their tables by reference counting alone: a cycle
     (say, a closure that refers to itself) would hold every subset's entry
@@ -357,11 +387,14 @@ class TestNoCyclicGarbage:
         [
             opt_worst,
             opt_expected,
+            _optima,
             pareto_frontier,
             lambda members, inst: opt_expected_under_budget(members, inst, 10**6),
             enumerate_trees,
         ],
-        ids=["opt_worst", "opt_expected", "pareto_frontier", "under_budget", "enumerate"],
+        ids=[
+            "opt_worst", "opt_expected", "optima", "pareto_frontier", "under_budget", "enumerate"
+        ],
     )
     def test_leaves_nothing_for_the_collector(self, solve):
         inst = next(small_instances(503, 1, num_objects=6, num_tests=5, num_outcomes=3))
