@@ -8,8 +8,6 @@ cost, and a seeded experiment harness with file formats and a CLI.
 """
 
 from dfep.combine import (
-    CombineParams,
-    UniformCombineParams,
     combine_trees,
     combine_uniform,
     find_replaceable,
@@ -54,7 +52,6 @@ from dfep.oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CombineParams",
     "CostReport",
     "DecisionTree",
     "FrontierPoint",
@@ -64,7 +61,6 @@ __all__ = [
     "Internal",
     "Leaf",
     "OracleResult",
-    "UniformCombineParams",
     "as_fraction",
     "combine_trees",
     "combine_uniform",

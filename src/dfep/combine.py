@@ -14,14 +14,17 @@ promised there.
 :func:`combine_uniform` sharpens the trade-off for unit-cost instances by
 sweeping a window of thresholds and keeping the candidate with the lowest
 expected cost.
+
+Both, and the experiment runner, splice through ``_splicer``, which prices
+the fallback and compares the two trees' object sets once for any number of
+thresholds.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from dfep.model import (
     DecisionTree,
@@ -32,90 +35,15 @@ from dfep.model import (
     _price,
     _restrict,
     as_fraction,
-    evaluate,
     tree_objects,
 )
 
 __all__ = [
-    "CombineParams",
-    "UniformCombineParams",
     "combine_trees",
     "combine_uniform",
     "find_replaceable",
     "subtree_at",
 ]
-
-
-@dataclass(frozen=True)
-class CombineParams:
-    """Resolved arithmetic of one splice: trade-off, reference, threshold.
-
-    ``worst_reference`` is recomputed from the fallback tree rather than
-    trusted from the caller, and ``threshold`` is exactly their product.
-    """
-
-    trade_off: Fraction
-    worst_reference: Fraction
-    threshold: Fraction
-
-    @classmethod
-    def resolve(
-        cls,
-        worst_case_tree: DecisionTree,
-        trade_off: RationalLike,
-        inst: Instance,
-    ) -> "CombineParams":
-        ratio = as_fraction(trade_off)
-        if ratio <= 0:
-            raise ValueError(f"trade-off must be positive, got {ratio}")
-        reference = evaluate(worst_case_tree, inst).worst
-        return cls(
-            trade_off=ratio,
-            worst_reference=reference,
-            threshold=ratio * reference,
-        )
-
-
-@dataclass(frozen=True)
-class UniformCombineParams:
-    """Threshold window for the unit-cost sweep.
-
-    The trade-off is ``rho_numerator / worst_reference``; candidate
-    thresholds use the numerators ``window_low .. window_high`` (inclusive),
-    with ``window_high == rho_numerator``.
-    """
-
-    rho_numerator: int
-    worst_reference: int
-    window_low: int
-    window_high: int
-
-    @classmethod
-    def resolve(cls, worst_reference: int, rho_numerator: int) -> "UniformCombineParams":
-        if worst_reference < 1:
-            raise ValueError(
-                f"reference worst-case cost must be a positive integer, "
-                f"got {worst_reference}"
-            )
-        if rho_numerator < 1:
-            raise ValueError(
-                f"trade-off numerator must be a positive integer, got {rho_numerator}"
-            )
-        high = rho_numerator
-        low = -(-(rho_numerator * rho_numerator) // (2 * rho_numerator + 2 * worst_reference))
-        if low > high:
-            raise ValueError(
-                "trade-off too small for this reference tree: empty threshold window"
-            )
-        return cls(
-            rho_numerator=rho_numerator,
-            worst_reference=worst_reference,
-            window_low=low,
-            window_high=high,
-        )
-
-    def window(self) -> Iterator[int]:
-        return iter(range(self.window_low, self.window_high + 1))
 
 
 def subtree_at(tree: DecisionTree, path: Sequence[int]) -> DecisionTree:
@@ -209,14 +137,19 @@ def combine_trees(
     points sit at-or-under the threshold, which also yields the worst-case
     cap ``(1 + trade_off)``.
     """
-    params = CombineParams.resolve(worst_case_tree, trade_off, inst)
-    return _splicer(expected_tree, worst_case_tree, inst)(params.threshold)
+    ratio = as_fraction(trade_off)
+    if ratio <= 0:
+        raise ValueError(f"trade-off must be positive, got {ratio}")
+    reference, splice = _splicer(expected_tree, worst_case_tree, inst)
+    return splice(ratio * Fraction(reference, inst.kernel.scale))
 
 
 def _splicer(
     expected_tree: DecisionTree, worst_case_tree: DecisionTree, inst: Instance
-) -> Callable[[Fraction], DecisionTree]:
-    """The splice of the two trees at a given threshold, after the object-set check."""
+) -> tuple[int, Callable[[Fraction], DecisionTree]]:
+    """The fallback's worst-case cost times ``inst.kernel.scale``, and the
+    splice of the two trees at a given threshold, after the object-set check."""
+    reference = max(_price(worst_case_tree, inst)[0].values(), default=0)
     if tree_objects(expected_tree) != tree_objects(worst_case_tree):
         raise ValueError("the two trees cover different object sets")
 
@@ -224,11 +157,32 @@ def _splicer(
         # ``node`` holds some of the fallback's objects: restrict_tree's checks hold.
         return _restrict(worst_case_tree, tree_objects(node), inst)
 
-    return lambda threshold: _splice(expected_tree, threshold, inst, fallback)
+    return reference, lambda threshold: _splice(expected_tree, threshold, inst, fallback)
 
 
 def _has_unit_prices(inst: Instance) -> bool:
     return all(c == 1 for row in inst.cost_table for c in row)
+
+
+def _window(reference: int, numerator: int) -> range:
+    """The sweep's threshold numerators for trade-off i/W, ``i = numerator``:
+    ceil(i²/(2i+2W)) up to i, never empty since the low end is at most i."""
+    if isinstance(numerator, bool):
+        raise TypeError(f"trade-off numerator must be an integer, got {numerator!r}")
+    numerator = operator.index(numerator)
+    if numerator < 1:
+        raise ValueError(f"trade-off numerator must be a positive integer, got {numerator}")
+    return range(-(-(numerator * numerator) // (2 * numerator + 2 * reference)), numerator + 1)
+
+
+def _sweep(
+    splice: Callable[[Fraction], DecisionTree], reference: int, numerator: int, inst: Instance
+) -> DecisionTree:
+    """The unit-cost splice with the smallest expected cost over the window."""
+    # The threshold ``Fraction(i, W) * W`` of trade-off i/W is ``i`` itself.
+    candidates = (splice(Fraction(i)) for i in _window(reference, numerator))
+    # ``min`` keeps the first of equal keys, so ties go to the smallest numerator.
+    return min(candidates, key=lambda tree: _price(tree, inst)[1])
 
 
 def combine_uniform(
@@ -251,14 +205,9 @@ def combine_uniform(
     if not _has_unit_prices(inst):
         raise ValueError("the uniform variant requires unit costs")
     # Unit costs: path costs are integers at scale 1.
-    reference = max(_price(worst_case_tree, inst)[0].values(), default=0)
+    reference, splice = _splicer(expected_tree, worst_case_tree, inst)
     if reference < 1:
         raise ValueError(
             f"fallback tree needs a positive integer worst-case cost, got {reference}"
         )
-    params = UniformCombineParams.resolve(reference, operator.index(rho_numerator))
-    splice = _splicer(expected_tree, worst_case_tree, inst)
-    # The threshold ``Fraction(i, W) * W`` of trade-off i/W is ``i`` itself.
-    candidates = (splice(Fraction(i)) for i in params.window())
-    # ``min`` keeps the first of equal keys, so ties go to the smallest numerator.
-    return min(candidates, key=lambda tree: _price(tree, inst)[1])
+    return _sweep(splice, reference, rho_numerator, inst)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, NoReturn, Sequence
 
-from dfep.combine import _has_unit_prices, _splicer, combine_uniform
+from dfep.combine import _has_unit_prices, _splicer, _sweep
 from dfep.greedy import _lower_bound, _pairs_in, divide_pairs
 from dfep.harness.generate import COST_MODES, PRIOR_MODES, GeneratorSpec, generate
 from dfep.harness.io import (
@@ -412,10 +412,10 @@ def _check_optima(
     trade_offs: list[TradeOffOutcome] = []
     inputs = (expected_result.tree, worst_result.tree)
     flat = _has_flat_prices(inst)
-    # What combine_trees does per trade-off, done once: price the fallback
-    # and check that both trees cover the same objects.
-    fallback_worst = evaluate(worst_result.tree, inst).worst
-    splice = _splicer(*inputs, inst)
+    # One splicer serves the whole grid and every sweep: it prices the
+    # fallback and checks that both trees cover the same objects once.
+    reference, splice = _splicer(*inputs, inst)
+    fallback_worst = Fraction(reference, inst.kernel.scale)
     for ratio in config.rho_grid:
         spliced = splice(ratio * fallback_worst)
         trade_offs.append(
@@ -427,11 +427,11 @@ def _check_optima(
             )
         )
 
-    if _has_unit_prices(inst) and best_worst >= 1:
-        reference = int(best_worst)
+    # Unit prices have scale 1, so ``reference`` is the fallback's worst cost.
+    if _has_unit_prices(inst) and reference >= 1:
         for factor in config.uniform_trade_offs:
             numerator = factor * reference
-            chosen = combine_uniform(*inputs, numerator, inst)
+            chosen = _sweep(splice, reference, numerator, inst)
             ratio = Fraction(factor)
             trade_offs.append(
                 _check_caps(

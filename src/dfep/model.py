@@ -268,6 +268,9 @@ class Kernel:
             if len(row) != n or sum(m.bit_count() for m in masks) != n:
                 raise ValueError(f"outcomes of test {t} are not {n} values in 1..{k}")
             outcome_masks.append(masks)
+        faults = _cost_shape_faults(inst)
+        if faults:
+            raise ValueError(faults[0])
         labels: dict[int, int] = {}
         for s, label in enumerate(inst.classes):
             labels[label] = labels.get(label, 0) | 1 << s
@@ -389,6 +392,19 @@ def _check_objects(objects: Iterable[int], inst: Instance) -> frozenset[int]:
     return out
 
 
+def _cost_shape_faults(inst: Instance) -> list[str]:
+    """Each way the cost table misses one row of ``num_outcomes`` prices per test."""
+    k, rows = inst.num_outcomes, inst.cost_table
+    faults = [
+        f"costs of test {t}: expected {k} entries, got {len(row)}"
+        for t, row in enumerate(rows)
+        if len(row) != k
+    ]
+    if len(rows) != inst.num_tests:
+        faults.append(f"cost table covers {len(rows)} tests, expected {inst.num_tests}")
+    return faults
+
+
 def validate_instance(inst: Instance) -> list[str]:
     """Check every instance invariant; return all violations (empty = ok).
 
@@ -412,18 +428,9 @@ def validate_instance(inst: Instance) -> list[str]:
         if len(row) != n:
             violations.append(f"outcomes of test {t}: expected {n} entries, got {len(row)}")
             structural = True
-    for t, row in enumerate(inst.cost_table):
-        if len(row) != inst.num_outcomes:
-            violations.append(
-                f"costs of test {t}: expected {inst.num_outcomes} entries, got {len(row)}"
-            )
-            structural = True
-    if len(inst.cost_table) != inst.num_tests:
-        violations.append(
-            f"cost table covers {len(inst.cost_table)} tests, expected {inst.num_tests}"
-        )
-        structural = True
-    if structural:
+    faults = _cost_shape_faults(inst)
+    violations.extend(faults)
+    if structural or faults:
         return violations
 
     for s, cls in enumerate(inst.classes):

@@ -41,8 +41,10 @@ from dfep.model import (
     Instance,
     Internal,
     Leaf,
+    RationalLike,
     _check_objects,
     _incomplete,
+    as_fraction,
     mask_objects,
     objects_mask,
 )
@@ -319,17 +321,18 @@ def _frontier(objects: Iterable[int], inst: Instance) -> tuple[list[FrontierPoin
 def opt_expected_under_budget(
     objects: Iterable[int],
     inst: Instance,
-    budget: Fraction | int | None,
+    budget: RationalLike | None,
 ) -> OracleResult | None:
     """Best expected cost among trees whose worst-case cost is within budget.
 
-    ``budget=None`` lifts the constraint entirely.  Returns None exactly when
-    the budget is below the optimal worst-case cost, i.e. no valid tree fits.
+    ``budget`` is read by :func:`dfep.model.as_fraction`; ``budget=None``
+    lifts the constraint entirely.  Returns None exactly when the budget is
+    below the optimal worst-case cost, i.e. no valid tree fits.
     """
     if budget is None:
         return opt_expected(objects, inst)
     frontier, explored = _frontier(objects, inst)
-    cap = Fraction(budget)
+    cap = as_fraction(budget)
     fitting = [point for point in frontier if point.budget <= cap]
     if not fitting:
         return None

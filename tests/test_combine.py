@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfep.combine import (
-    CombineParams,
-    UniformCombineParams,
+    _window,
     combine_trees,
     combine_uniform,
     find_replaceable,
@@ -49,10 +48,17 @@ def caterpillar() -> tuple[Instance, Internal]:
         classes=list(range(n)),
         outcomes=[[2 if s == k else 1 for s in range(n)] for k in range(n - 1)],
     )
-    tree: Internal | Leaf = Leaf(n - 1, frozenset({n - 1}))
-    for k in reversed(range(n - 1)):
+    return inst, peeling(range(n))
+
+
+def peeling(order) -> Internal:
+    """A caterpillar tree that peels off the objects of ``order`` in turn:
+    test ``k`` sends object ``k`` alone down outcome 2."""
+    *peeled, last = order
+    tree: Internal | Leaf = Leaf(last, frozenset({last}))
+    for k in reversed(peeled):
         tree = Internal(k, {1: tree, 2: Leaf(k, frozenset({k}))})
-    return inst, tree
+    return tree
 
 
 class TestFindReplaceable:
@@ -150,16 +156,35 @@ class TestFindReplaceable:
 
 
 class TestCombineParams:
+    """How ``combine_trees`` reads its trade-off and reference."""
+
     def test_reference_is_recomputed_from_the_tree(self):
-        inst, tree = caterpillar()
-        params = CombineParams.resolve(tree, Fraction(1, 2), inst)
-        assert params.worst_reference == 5
-        assert params.threshold == Fraction(5, 2)
+        # Four singleton classes: tests 0-2 each peel one object off, tests 3
+        # and 4 halve.  The peeling chain has worst case 3, the halving tree 2.
+        inst = Instance.create(
+            classes=[0, 1, 2, 3],
+            outcomes=[[2, 1, 1, 1], [1, 2, 1, 1], [1, 1, 2, 1], [1, 1, 2, 2], [1, 2, 1, 2]],
+        )
+        chain = peeling(range(4))
+        low, high = (
+            Internal(4, {1: Leaf(a, frozenset({a})), 2: Leaf(b, frozenset({b}))})
+            for a, b in ((0, 1), (2, 3))
+        )
+        halving = Internal(3, {1: low, 2: high})
+        assert (evaluate(chain, inst).worst, evaluate(halving, inst).worst) == (3, 2)
+        # Trade-off 1 splices at the halving tree's 2, not the chain's 3: the
+        # chain is handed over two edges down, where {2, 3} are still alive.
+        assert find_replaceable(chain, inst, 2) == [(1, 1), (1, 2)]
+        assert combine_trees(chain, halving, 1, inst) == Internal(
+            0, {1: Internal(1, {1: high, 2: Leaf(1, frozenset({1}))}), 2: chain.children[2]}
+        )
+        assert combine_trees(chain, chain, 1, inst) == chain
 
     def test_positive_trade_off_required(self):
         inst, tree = caterpillar()
-        with pytest.raises(ValueError, match="positive"):
-            CombineParams.resolve(tree, 0, inst)
+        for trade_off in (0, -1, "-1/2", Fraction(0)):
+            with pytest.raises(ValueError, match="^trade-off must be positive, got "):
+                combine_trees(tree, tree, trade_off, inst)
 
 
 class TestCombineTrees:
@@ -320,27 +345,29 @@ class TestSubtreeAt:
 
 
 class TestUniformCombineParams:
+    """The sweep's threshold window, ``_window(reference, numerator)``."""
+
     def test_window_arithmetic(self):
-        params = UniformCombineParams.resolve(10, 20)
-        assert params.window_low == 7
-        assert params.window_high == 20
-        assert list(params.window()) == list(range(7, 21))
+        assert _window(10, 20) == range(7, 21)
 
     def test_smallest_cases(self):
-        params = UniformCombineParams.resolve(1, 1)
-        assert params.window_low == 1 and params.window_high == 1
+        assert _window(1, 1) == range(1, 2)
 
     def test_window_is_never_empty_in_practice(self):
         for reference in range(1, 31):
             for numerator in range(1, 3 * reference + 1):
-                params = UniformCombineParams.resolve(reference, numerator)
-                assert 1 <= params.window_low <= params.window_high
+                window = _window(reference, numerator)
+                assert 1 <= window[0] <= window[-1] == numerator
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="positive integer"):
-            UniformCombineParams.resolve(0, 4)
-        with pytest.raises(ValueError, match="positive integer"):
-            UniformCombineParams.resolve(4, 0)
+        # A reference below 1 is refused before the window is built; see
+        # TestCombineUniform.test_rejects_a_bare_leaf_fallback.
+        for numerator in (0, -3):
+            with pytest.raises(ValueError, match="^trade-off numerator must be a positive integer"):
+                _window(4, numerator)
+        for numerator in (1.0, "2"):
+            with pytest.raises(TypeError):
+                _window(4, numerator)
 
 
 class TestCombineUniform:
@@ -363,6 +390,13 @@ class TestCombineUniform:
         with pytest.raises(ValueError, match="positive integer worst-case"):
             combine_uniform(leaf, leaf, 2, inst)
 
+    def test_rejects_a_bool_numerator(self):
+        inst, tree = caterpillar()
+        for flag in (True, False):
+            with pytest.raises(TypeError, match="^trade-off numerator must be an integer, got "):
+                combine_uniform(tree, tree, flag, inst)
+        assert combine_uniform(tree, tree, 1, inst) == tree
+
     def test_returns_the_smallest_numerator_argmin(self):
         rng = random.Random(107)
         for _ in range(10):
@@ -374,10 +408,9 @@ class TestCombineUniform:
             low_worst = opt_worst(everything, inst).tree
             reference = int(evaluate(low_worst, inst).worst)
             numerator = rng.randint(1, 3 * reference)
-            params = UniformCombineParams.resolve(reference, numerator)
             candidates = [
                 combine_trees(low_expected, low_worst, Fraction(i, reference), inst)
-                for i in params.window()
+                for i in _window(reference, numerator)
             ]
             chosen = combine_uniform(low_expected, low_worst, numerator, inst)
             scores = [evaluate(c, inst).expected for c in candidates]
@@ -404,7 +437,7 @@ class TestCombineUniform:
                 assert report.expected <= (1 + 2 / (ratio * ratio + 2 * ratio)) * average
                 # The argmin is also no worse than the splice at the window
                 # floor, which carries its own (coarser) expected-cost cap.
-                floor = UniformCombineParams.resolve(reference, numerator).window_low
+                floor = _window(reference, numerator)[0]
                 assert report.expected <= (1 + Fraction(reference, floor)) * average
 
     def test_doubled_budget_costs_at_most_five_quarters_on_average(self):
@@ -476,10 +509,9 @@ class TestMatchesRecursiveReference:
                 assert report.worst <= (1 + ratio) * reference
         if all(cost == 1 for row in inst.cost_table for cost in row) and reference >= 1:
             numerator = data.draw(st.integers(1, 3 * int(reference)))
-            window = UniformCombineParams.resolve(int(reference), numerator).window()
             candidates = [
                 reference_combine_trees(low_expected, low_worst, Fraction(i, reference), inst)
-                for i in window
+                for i in _window(int(reference), numerator)
             ]
             scores = [reference_evaluate(tree, inst).expected for tree in candidates]
             assert combine_uniform(low_expected, low_worst, numerator, inst) == candidates[

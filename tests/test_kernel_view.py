@@ -1,7 +1,7 @@
 """The instance's integer view: ``Instance.kernel`` is built once per
 instance, every layer reads it, and a replaced instance gets its own.  An
 experiment item builds each of the structures read off it once per object
-set: one subset table for both optima, one greedy tree."""
+set: one subset table for both optima, one greedy tree, one splicer."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from dfep import greedy, oracle
+from dfep import combine, greedy, oracle
 from dfep.combine import combine_trees, combine_uniform, find_replaceable
 from dfep.greedy import criterion_value, divide_pairs, root_lower_bound, select_test
 from dfep.harness import experiment
@@ -89,6 +89,30 @@ def test_an_experiment_item_builds_each_table_and_greedy_tree_once(
     (row,) = run_experiment(config)
     assert bool(row.trade_offs) is oracle_checks
     assert (calls.count("_table"), calls.count("_build")) == (tables, 1)
+
+
+def test_an_experiment_item_builds_one_splicer(monkeypatch, tmp_path):
+    # The ρ grid and every uniform factor splice through one splicer, so the
+    # fallback is priced and the object sets are compared once per instance.
+    calls: list[tuple] = []
+    splicer = combine._splicer
+
+    def counted(*args):
+        calls.append(args)
+        return splicer(*args)
+
+    monkeypatch.setattr(combine, "_splicer", counted)
+    monkeypatch.setattr(experiment, "_splicer", counted)
+    config = ExperimentConfig(
+        seed=1406,
+        count=1,
+        objects=(6, 8),
+        uniform_trade_offs=(1, 2, 3),
+        replay_path=str(tmp_path / "replay.json"),
+    )
+    (row,) = run_experiment(config)
+    assert [o.variant for o in row.trade_offs].count("uniform-sweep") == 3
+    assert len(calls) == 1
 
 
 def test_every_layer_reads_the_one_kernel(kernels_built):
@@ -229,3 +253,39 @@ class TestPriorCountTheKernelRejects:
             with pytest.raises(ValueError, match=message):
                 call()
         assert validate_instance(inst) == [message[1:-1]]
+
+
+class TestCostTableTheKernelRejects:
+    """A directly built instance whose cost table misses a price or a row
+    fails the kernel with validate_instance's own message, in every layer
+    that reads the kernel, instead of pricing a missing outcome at nothing or
+    an IndexError deep in a loop."""
+
+    @pytest.mark.parametrize(
+        "costs, message",
+        [
+            (((1,), (5, 5)), "costs of test 0: expected 2 entries, got 1"),
+            (((1, 1),), "cost table covers 1 tests, expected 2"),
+            (((1, 1), (1, 1), (1, 1)), "cost table covers 3 tests, expected 2"),
+        ],
+    )
+    def test_directly_built(self, costs, message):
+        inst = Instance(
+            classes=(0, 1, 1),
+            num_outcomes=2,
+            outcome_table=((1, 2, 2), (1, 1, 2)),
+            priors=(Fraction(1, 3),) * 3,
+            cost_table=tuple(tuple(map(Fraction, row)) for row in costs),
+        )
+        tree = Internal(0, {1: Leaf(0, frozenset({0})), 2: Leaf(1, frozenset({1, 2}))})
+        for call in (
+            lambda: opt_worst(inst.objects, inst),
+            lambda: opt_expected(inst.objects, inst),
+            lambda: divide_pairs(inst.objects, inst),
+            lambda: evaluate(tree, inst),
+            lambda: combine_trees(tree, tree, 1, inst),
+        ):
+            with pytest.raises(ValueError) as error:
+                call()
+            assert str(error.value) == message
+        assert validate_instance(inst) == [message]

@@ -182,6 +182,23 @@ class TestBudgetedExpected:
                 assert result is not None
                 assert result.value == min(feasible)
 
+    def test_budget_is_read_like_every_library_number(self):
+        # Integers, "p/q" text and Fractions are read; decimals, exponents,
+        # spaces and underscores are refused, and an exponent is never
+        # expanded, however large.
+        inst = next(iter(small_instances(337, 1)))
+        everything = frozenset(inst.objects)
+        floor = opt_worst(everything, inst).value
+        expected = opt_expected_under_budget(everything, inst, floor)
+        for budget in (floor, str(floor), f"{floor.numerator * 3}/{floor.denominator * 3}"):
+            assert opt_expected_under_budget(everything, inst, budget) == expected
+        for budget in ("1e4", "1_0", " 2 ", "0.5", "1e2000000"):
+            with pytest.raises(ValueError, match="^not a rational: "):
+                opt_expected_under_budget(everything, inst, budget)
+        for budget in (True, False, 0.5):
+            with pytest.raises(TypeError, match="^not an exact rational: "):
+                opt_expected_under_budget(everything, inst, budget)
+
 
 class TestParetoFrontier:
     @staticmethod
