@@ -41,7 +41,6 @@ from dfep.model import (
 from dfep.oracle import (
     FrontierPoint,
     OracleResult,
-    enumerate_trees,
     harmonic,
     opt_expected,
     opt_expected_under_budget,
@@ -66,7 +65,6 @@ __all__ = [
     "combine_uniform",
     "criterion_value",
     "divide_pairs",
-    "enumerate_trees",
     "evaluate",
     "find_replaceable",
     "harmonic",

@@ -32,6 +32,7 @@ from dfep.model import (
     Internal,
     Leaf,
     RationalLike,
+    _check_test,
     _price,
     _restrict,
     as_fraction,
@@ -82,14 +83,19 @@ def _splice(
         node, path_cost, path, slot, key = stack.pop()
         if path_cost * q >= bar:
             slot[key] = hand_over(node, path)
-        elif isinstance(node, Leaf):
+            continue
+        if isinstance(node, Leaf):
             slot[key] = node
-        elif (path_cost + min(costs[node.test][i - 1] for i in node.children)) * q > bar:
+            continue
+        _check_test(node.test, inst)
+        if not node.children:
+            raise ValueError(f"invalid tree: test {node.test} has no branches")
+        row = costs[node.test]
+        if (path_cost + min(row[i - 1] for i in node.children)) * q > bar:
             slot[key] = hand_over(node, path)
         else:
             children: dict = dict.fromkeys(sorted(node.children))
             slot[key] = Internal(test=node.test, children=children)
-            row = costs[node.test]
             for i in reversed(children):
                 stack.append((node.children[i], path_cost + row[i - 1], path + (i,), children, i))
     return root[0]

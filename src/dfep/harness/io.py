@@ -266,7 +266,9 @@ def _tree_from_doc(doc: Any, where: str) -> DecisionTree:
             continue
         if key is not None:
             try:
-                outcome = int(key)
+                # Only the writer's spelling: no "+", padding or other digits.
+                if str(outcome := int(key)) != key:
+                    raise ValueError
             except ValueError:
                 raise ValueError(f"{where}: children key {key!r} is not an outcome") from None
             where, key = f"{where}: children[{key}]", outcome

@@ -7,12 +7,11 @@ with its splits, children before parents.  A subset is a bitmask, its bucket
 under a test is one AND, and costs and priors are integers scaled from the
 exact rationals.  Each solver is a short bottom-up fold over that table: plain
 dict reads of the children's values, each subset's prior mass summed once, and
-witness trees built only for the input set's winners.  The table is
-exponential, so the solvers refuse sets larger than a small cap.  Each public
-call builds its own table; ``_optima`` serves both optima of one object set
-from one table and one pass over it, for callers that need the pair.
-Everything returns exact rationals and a witness tree alongside the optimal
-value.
+trees spelled on an explicit stack for the input set's winners only.  The
+table is exponential, so it refuses sets larger than a small cap.  Each public
+call builds its own table; ``_optima`` runs the folds of both optima, and
+serves the pair of one object set from one table and one pass.  Everything
+returns exact rationals and a witness tree alongside the optimal value.
 
 Provided here:
 
@@ -24,13 +23,11 @@ Provided here:
 * :func:`opt_expected_under_budget` — minimum expected cost among trees whose
   worst-case cost stays within a budget (None when the budget is infeasible),
   read off the frontier.
-* :func:`enumerate_trees` — every canonical tree over a tiny object set.
 * :func:`harmonic` — exact harmonic numbers, used by guarantee checks.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
@@ -51,10 +48,8 @@ from dfep.model import (
 
 __all__ = [
     "DP_OBJECT_LIMIT",
-    "ENUMERATION_OBJECT_LIMIT",
     "FrontierPoint",
     "OracleResult",
-    "enumerate_trees",
     "harmonic",
     "opt_expected",
     "opt_expected_under_budget",
@@ -63,7 +58,6 @@ __all__ = [
 ]
 
 DP_OBJECT_LIMIT = 14
-ENUMERATION_OBJECT_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,7 @@ def harmonic(k: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, k + 1)), Fraction(0))
 
 
-def _table(objects: Iterable[int], inst: Instance, limit: int) -> list:
+def _table(objects: Iterable[int], inst: Instance) -> list:
     """Every subset that usable tests reach from the object set, paired with
     its splits, children before parents and the object set last.
 
@@ -113,10 +107,10 @@ def _table(objects: Iterable[int], inst: Instance, limit: int) -> list:
     members = _check_objects(objects, inst)
     if not members:
         raise ValueError("oracle needs a nonempty object set")
-    if len(members) > limit:
+    if len(members) > DP_OBJECT_LIMIT:
         raise ValueError(
             f"instance too large for exact oracle: {len(members)} objects "
-            f"(limit {limit})"
+            f"(limit {DP_OBJECT_LIMIT})"
         )
     kernel = inst.kernel
     owner = [0] * inst.num_objects  # each object's class mask
@@ -165,51 +159,27 @@ def _masses(inst: Instance, rows: list) -> dict[int, int]:
     return mass
 
 
-def _tree(witness: Any, inst: Instance) -> DecisionTree:
-    """The tree a witness spells: a leaf's object mask, or
+def _tree(witness: Any, inst: Instance, choice: dict[int, tuple]) -> DecisionTree:
+    """The tree a witness spells.  A witness is an object mask, which takes
+    its split in ``choice`` if it has one and is a leaf otherwise, or
     ``(test, ((outcome, witness), ...))`` with one entry per nonempty bucket."""
-    order = [witness]
-    for node in order:
-        if isinstance(node, tuple):
-            order.extend(sub for _, sub in node[1])
-    built: dict[int, DecisionTree] = {}  # by id: every node stays alive in order
-    for node in reversed(order):
-        if isinstance(node, tuple):
-            children = {i: built[id(sub)] for i, sub in node[1]}
-            built[id(node)] = Internal(test=node[0], children=children)
-        else:
-            label = inst.classes[(node & -node).bit_length() - 1]
-            built[id(node)] = Leaf(class_id=label, objects=mask_objects(node))
-    return built[id(witness)]
-
-
-def _witness(mask: int, choice: dict[int, tuple]) -> Any:
-    """The witness, as :func:`_tree` reads it, of the tree that takes each
-    mixed subset's split in ``choice`` down from ``mask``.  It recurses once
-    per level, and a table's sets have at most ``DP_OBJECT_LIMIT`` objects."""
-    if mask not in choice:
-        return mask
-    test, buckets = choice[mask]
-    return test, tuple((i, _witness(b, choice)) for i, b in enumerate(buckets, start=1) if b)
-
-
-def _optimum(rows: list, inst: Instance, *prices: Callable) -> list[tuple[int, DecisionTree]]:
-    """For each of ``prices``, the least ``price(costs, buckets, value)`` over
-    the object set, where ``value`` holds every smaller subset's optimum under
-    that price and 0 for the empty one, and a tree achieving it; ties go to
-    the smallest test id.  One pass over the table serves every price."""
-    costs = inst.kernel.costs
-    folds = [(price, {0: 0}, {}) for price in prices]
-    for mask, splits in rows:
-        for price, value, choice in folds:
-            if splits:
-                scores = [price(costs[test], buckets, value) for test, buckets in splits]
-                value[mask] = best = min(scores)
-                choice[mask] = splits[scores.index(best)]
-            else:
-                value[mask] = 0
-    root = rows[-1][0]
-    return [(value[root], _tree(_witness(root, choice), inst)) for _, value, choice in folds]
+    # Each entry spells ``node`` into ``slot[key]``.
+    root: dict[int, DecisionTree] = {}
+    stack = [(witness, root, 0)]
+    while stack:
+        node, slot, key = stack.pop()
+        if not isinstance(node, tuple):
+            if node not in choice:
+                label = inst.classes[(node & -node).bit_length() - 1]
+                slot[key] = Leaf(class_id=label, objects=mask_objects(node))
+                continue
+            test, buckets = choice[node]
+            node = test, [(i, b) for i, b in enumerate(buckets, start=1) if b]
+        test, kids = node
+        children: dict = dict.fromkeys(i for i, _ in kids)
+        slot[key] = Internal(test=test, children=children)
+        stack.extend((sub, children, i) for i, sub in kids)
+    return root[0]
 
 
 def _worst_price(costs: tuple[int, ...], buckets: tuple[int, ...], value: dict) -> int:
@@ -232,19 +202,30 @@ def _expected_price(rows: list, inst: Instance) -> Callable:
 def _optima(
     objects: Iterable[int], inst: Instance, *, worst: bool = True, expected: bool = True
 ) -> list[OracleResult]:
-    """The optimum of each measure asked for, worst-case first, from one
-    table and one pass over it."""
-    rows, kernel = _table(objects, inst, DP_OBJECT_LIMIT), inst.kernel
-    prices, scales = [], []
+    """The optimum of each measure asked for, worst-case first, from one table
+    and one pass: each fold keeps the least ``price(costs, buckets, value)``,
+    ``value`` holding every smaller subset's optimum; ties to the lowest test id."""
+    rows, kernel = _table(objects, inst), inst.kernel
+    costs = kernel.costs
+    folds = []  # (price, scale, value, choice) per measure
     if worst:
-        prices.append(_worst_price)
-        scales.append(kernel.scale)
+        folds.append((_worst_price, kernel.scale, {0: 0}, {}))
     if expected:
-        prices.append(_expected_price(rows, inst))
-        scales.append(kernel.scale * kernel.weight_scale)
+        folds.append((_expected_price(rows, inst), kernel.scale * kernel.weight_scale, {0: 0}, {}))
+    for mask, splits in rows:
+        for price, _, value, choice in folds:
+            if splits:
+                scores = [price(costs[test], buckets, value) for test, buckets in splits]
+                value[mask] = best = min(scores)
+                choice[mask] = splits[scores.index(best)]
+            else:
+                value[mask] = 0
+    root = rows[-1][0]
     return [
-        OracleResult(value=Fraction(value, scale), tree=tree, explored=len(rows))
-        for (value, tree), scale in zip(_optimum(rows, inst, *prices), scales)
+        OracleResult(
+            value=Fraction(value[root], scale), tree=_tree(root, inst, choice), explored=len(rows)
+        )
+        for _, scale, value, choice in folds
     ]
 
 
@@ -276,7 +257,7 @@ def _frontier(objects: Iterable[int], inst: Instance) -> tuple[list[FrontierPoin
     Points carry witnesses as :func:`_tree` reads them; only the object
     set's winners become trees.
     """
-    rows, kernel = _table(objects, inst, DP_OBJECT_LIMIT), inst.kernel
+    rows, kernel = _table(objects, inst), inst.kernel
     mass = _masses(inst, rows)
     points: dict[int, list[tuple[int, int, Any]]] = {}
     for mask, splits in rows:
@@ -311,7 +292,7 @@ def _frontier(objects: Iterable[int], inst: Instance) -> tuple[list[FrontierPoin
         FrontierPoint(
             Fraction(worst, kernel.scale),
             Fraction(expected, kernel.scale * kernel.weight_scale),
-            _tree(witness, inst),
+            _tree(witness, inst, {}),
         )
         for worst, expected, witness in points[rows[-1][0]]
     ]
@@ -350,25 +331,3 @@ def pareto_frontier(objects: Iterable[int], inst: Instance) -> list[FrontierPoin
     """
     return _frontier(objects, inst)[0]
 
-
-def enumerate_trees(objects: Iterable[int], inst: Instance) -> list[DecisionTree]:
-    """Every canonical valid tree over a small object set.
-
-    Canonical means single-class sets become leaves immediately; with strictly
-    positive costs such trees dominate the rest, so minima over this family
-    equal minima over all valid trees.  The family is exponential, hence the
-    tight object cap.
-    """
-    rows = _table(objects, inst, ENUMERATION_OBJECT_LIMIT)
-    trees: dict[int, list[DecisionTree]] = {}
-    for mask, splits in rows:
-        if not splits:
-            trees[mask] = [_tree(mask, inst)]
-            continue
-        trees[mask] = [
-            Internal(test=test, children=dict(zip(outcomes, combo)))
-            for test, buckets in splits
-            for outcomes in [[i for i, b in enumerate(buckets, start=1) if b]]
-            for combo in itertools.product(*(trees[b] for b in buckets if b))
-        ]
-    return trees[rows[-1][0]]

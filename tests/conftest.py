@@ -6,10 +6,13 @@ re-walking trees with a hand-rolled recursion, and the reference greedy
 scores with ``Fraction`` over frozenset partitions instead of the library's
 bitmask kernel.  The reference oracle does the same for the exact optima, and
 finds the frontier by probing a budgeted DP at every realizable path cost
-instead of merging per-subset Pareto sets.  The reference splice recurses
-and finds each child's surviving objects from the child's leaves, where the
-library routes them through the node's test on an explicit stack.  Agreement
-between these and the library is then evidence, not tautology.
+instead of merging per-subset Pareto sets.  The exhaustive tree enumeration,
+which acceptance criterion 6 compares the optima with, recurses over the same
+frozenset splits, never over the library's subset table.  The reference
+splice recurses and finds each child's surviving objects from the child's
+leaves, where the library routes them through the node's test on an explicit
+stack.  Agreement between these and the library is then evidence, not
+tautology.
 
 Property tests run under the ``dfep`` hypothesis profile registered here:
 derandomized, so every run draws the same examples, with no deadline and a
@@ -18,6 +21,7 @@ bounded example count so the suite stays fast.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
@@ -279,6 +283,43 @@ def _reference_splits(members: frozenset[int], inst: Instance) -> list:
 
 def _reference_leaf(members: frozenset[int], inst: Instance) -> Leaf:
     return Leaf(class_id=inst.classes[next(iter(members))], objects=members)
+
+
+ENUMERATION_OBJECT_LIMIT = 6
+
+
+def enumerate_trees(objects, inst: Instance) -> list[DecisionTree]:
+    """Every canonical valid tree over a small object set, by ascending test
+    and then outcome.
+
+    Canonical means single-class sets become leaves immediately; with strictly
+    positive costs such trees dominate the rest, so minima over this family
+    equal minima over all valid trees.  The family is exponential, hence the
+    tight object cap.
+    """
+    members = frozenset(objects)
+    if len(members) > ENUMERATION_OBJECT_LIMIT:
+        raise ValueError(
+            f"instance too large for enumeration: {len(members)} objects "
+            f"(limit {ENUMERATION_OBJECT_LIMIT})"
+        )
+    return _enumerate(members, inst, {})
+
+
+def _enumerate(members: frozenset[int], inst: Instance, memo: dict) -> list[DecisionTree]:
+    if members not in memo:
+        if is_homogeneous(members, inst):
+            memo[members] = [_reference_leaf(members, inst)]
+        else:
+            memo[members] = [
+                Internal(test=t, children=dict(zip(outcomes, combo)))
+                for t, buckets in _reference_splits(members, inst)
+                for outcomes in [sorted(buckets)]
+                for combo in itertools.product(
+                    *(_enumerate(buckets[i], inst, memo) for i in outcomes)
+                )
+            ]
+    return memo[members]
 
 
 def reference_opt(members: frozenset[int], inst: Instance, measure: str, memo: dict):

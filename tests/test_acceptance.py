@@ -26,8 +26,8 @@ from dfep.model import (
     restrict_tree,
     separated_pairs,
 )
-from dfep.oracle import enumerate_trees, harmonic, opt_expected, opt_worst
-from tests.conftest import brute_force_pair_count, run_dfep, splice_cases
+from dfep.oracle import harmonic, opt_expected, opt_worst
+from tests.conftest import brute_force_pair_count, enumerate_trees, run_dfep, splice_cases
 
 ALL_COST_MODES = ("unit", "fixed-random", "value-dependent-random")
 

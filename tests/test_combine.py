@@ -26,9 +26,10 @@ from dfep.model import (
     tree_objects,
     validate_tree,
 )
-from dfep.oracle import enumerate_trees, opt_expected, opt_worst
+from dfep.oracle import opt_expected, opt_worst
 from tests.conftest import (
     deep_chain,
+    enumerate_trees,
     random_complete_instance,
     reference_combine_trees,
     reference_evaluate,
@@ -597,3 +598,60 @@ class TestMalformedFallback:
         run = run_python("-O", "-c", script, cwd=tmp_path, text=True)
         assert run.returncode == 0, run.stderr
         assert run.stdout == self.MIXED_ERROR + "\n"
+
+
+class TestMalformedExpectedTree:
+    # The splice names a bad test id before it reads any price (id -1 must
+    # not read the last test's), and a node with no branches before it takes
+    # the cheapest of them.
+    INST = TestMalformedFallback.INST
+    GOOD = TestMalformedFallback.EXPECTED
+
+    @staticmethod
+    def with_test_ids(root: int, below: int) -> Internal:
+        return Internal(
+            root,
+            {
+                1: Leaf(0, frozenset({0})),
+                2: Internal(below, {1: Leaf(0, frozenset({1})), 2: Leaf(1, frozenset({2}))}),
+            },
+        )
+
+    @pytest.mark.parametrize("test", [9, 2, -1])
+    def test_unknown_test_is_named(self, test):
+        inst, good = self.INST, self.GOOD
+        for bad in (self.with_test_ids(test, 1), self.with_test_ids(0, test)):
+            for call in (
+                lambda: combine_trees(bad, good, 10, inst),
+                lambda: combine_uniform(bad, good, 2, inst),
+                lambda: find_replaceable(bad, inst, 10),
+            ):
+                with pytest.raises(ValueError) as error:
+                    call()
+                assert str(error.value) == f"no such test: {test}"
+        # Even where the root's cheapest branch overshoots and hands it over.
+        bad = self.with_test_ids(test, 1)
+        for call in (
+            lambda: combine_trees(bad, good, Fraction(1, 4), inst),
+            lambda: find_replaceable(bad, inst, "1/2"),
+        ):
+            with pytest.raises(ValueError) as error:
+                call()
+            assert str(error.value) == f"no such test: {test}"
+
+    def test_node_without_branches_is_named(self):
+        inst, good = self.INST, self.GOOD
+        with pytest.raises(ValueError) as error:
+            find_replaceable(Internal(0, {}), inst, "1/2")
+        assert str(error.value) == "invalid tree: test 0 has no branches"
+        # A childless node beside a subtree over every object passes the
+        # object-set check, so the splice itself meets it.
+        bad = Internal(0, {1: Internal(1, {}), 2: good})
+        for call in (
+            lambda: combine_trees(bad, good, 10, inst),
+            lambda: combine_uniform(bad, good, 2, inst),
+            lambda: find_replaceable(bad, inst, 10),
+        ):
+            with pytest.raises(ValueError) as error:
+                call()
+            assert str(error.value) == "invalid tree: test 1 has no branches"

@@ -390,6 +390,42 @@ class TestTreeFiles:
         with pytest.raises(ValueError, match="not an outcome"):
             read_tree(path)
 
+    @pytest.mark.parametrize("key", ["01", " 1", "+2", "\u0661", "1_0", "2 "])
+    def test_children_keys_are_read_only_as_written(self, tmp_path, key):
+        # Only the writer's spelling of an outcome is read back: int() alone
+        # would also take zero padding, a sign, spaces, underscores and
+        # other scripts' digits (U+0661 is an Arabic-Indic one).
+        path = tmp_path / "tree.json"
+        leaf = {"leaf_class": 0, "objects": [0]}
+        path.write_text(json.dumps({"test": 0, "children": {key: leaf}}))
+        with pytest.raises(ValueError) as error:
+            read_tree(path)
+        assert str(error.value) == f"{path}: children key {key!r} is not an outcome"
+
+    def test_a_second_spelling_of_an_outcome_is_refused(self, tmp_path):
+        # Read as 1, "01" would replace the subtree under "1", over an object
+        # and a class the instance lacks, before anything checked it.
+        (tmp_path / "dup.json").write_text(
+            json.dumps(
+                {
+                    "test": 0,
+                    "children": {
+                        "1": {"leaf_class": 7, "objects": [5]},
+                        "01": {"leaf_class": 0, "objects": [0]},
+                        "2": {"leaf_class": 1, "objects": [1]},
+                    },
+                }
+            )
+        )
+        with pytest.raises(ValueError) as error:
+            read_tree(tmp_path / "dup.json")
+        assert str(error.value) == f"{tmp_path / 'dup.json'}: children key '01' is not an outcome"
+        write_instance(two_object_instance(), tmp_path / "inst.json")
+        run = run_cli("eval", "dup.json", "inst.json", cwd=tmp_path)
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr == "error: dup.json: children key '01' is not an outcome\n"
+
     def test_chain_deeper_than_the_recursion_limit(self, tmp_path):
         n = 1100
         inst, tree = deep_chain(n)

@@ -401,7 +401,7 @@ class TestEvaluate:
         assert report.worst == 0 and report.expected == 0
 
     def test_matches_per_object_walk(self):
-        from dfep.oracle import enumerate_trees
+        from tests.conftest import enumerate_trees
 
         rng = random.Random(23)
         for _ in range(15):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ from dfep.oracle import (
     DP_OBJECT_LIMIT,
     FrontierPoint,
     _optima,
-    enumerate_trees,
+    _table,
+    _tree,
     harmonic,
     opt_expected,
     opt_expected_under_budget,
@@ -24,11 +26,14 @@ from dfep.oracle import (
     pareto_frontier,
 )
 from tests.conftest import (
+    deep_chain,
+    enumerate_trees,
     random_complete_instance,
     reference_budget,
     reference_frontier,
     reference_opt,
     result_or_error,
+    tree_signature,
 )
 
 
@@ -76,6 +81,35 @@ class TestEnumeration:
         inst = random_complete_instance(rng, num_objects=7, num_tests=6)
         with pytest.raises(ValueError, match="too large"):
             enumerate_trees(inst.objects, inst)
+
+    def test_counts_the_trees_the_solvers_table_spells(self):
+        # A leaf spells one canonical tree, and a mixed subset the sum over
+        # its splits of the product of its nonempty buckets' counts, so a
+        # split the table drops or invents changes the count.
+        for inst in small_instances(107, 40):
+            everything = frozenset(inst.objects)
+            count = {}
+            for mask, splits in _table(everything, inst):
+                count[mask] = (
+                    sum(math.prod(count[b] for b in buckets if b) for _, buckets in splits)
+                    if splits
+                    else 1
+                )
+            assert count[mask] == len(enumerate_trees(everything, inst))
+
+
+class TestTreeSpelling:
+    def test_a_choice_map_deeper_than_the_recursion_limit(self):
+        # The chain's own choices: test t splits objects t..n-1 into the
+        # rest (answer 1) and object t (answer 2).
+        n = 1100
+        inst, tree = deep_chain(n)
+        everything = (1 << n) - 1
+        choice = {}
+        for t in range(n - 1):
+            rest = everything >> (t + 1) << (t + 1)
+            choice[rest | 1 << t] = (t, (rest, 1 << t))
+        assert tree_signature(_tree(everything, inst, choice)) == tree_signature(tree)
 
 
 class TestOptima:
