@@ -73,6 +73,7 @@ def _splice(
     it — the last moment a hand-over can happen at-or-under the threshold.
     """
     costs = inst.kernel.costs
+    outcomes = frozenset(range(1, inst.num_outcomes + 1))
     # Path costs are integers times ``scale``, so a path reaches the
     # threshold p/q where ``path * q >= p * scale``.
     q, bar = threshold.denominator, threshold.numerator * inst.kernel.scale
@@ -90,6 +91,9 @@ def _splice(
         _check_test(node.test, inst)
         if not node.children:
             raise ValueError(f"invalid tree: test {node.test} has no branches")
+        if not node.children.keys() <= outcomes:
+            bad = min(node.children.keys() - outcomes)
+            raise ValueError(f"tree references outcome {bad} outside 1..{inst.num_outcomes}")
         row = costs[node.test]
         if (path_cost + min(row[i - 1] for i in node.children)) * q > bar:
             slot[key] = hand_over(node, path)

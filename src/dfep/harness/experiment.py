@@ -1,31 +1,31 @@
 """Batch experiment runner: generate, solve, splice, and check every bound.
 
-One run draws a batch of seeded random instances and, per instance, computes
-the exact optima, runs the greedy builder, splices the two oracle trees
-across a trade-off grid, and sweeps the unit-cost variant where it applies.
-Every guarantee the library makes is then checked as an exact inequality:
+One run draws a batch of seeded random instances and works each in two
+passes.  The first computes the exact optima and the greedy tree, splices
+the two oracle trees across a trade-off grid (and sweeps the unit-cost
+variant where it applies), and builds the instance's table row once.  The
+second checks each guarantee on that row as an exact inequality, in order:
 
 * greedy worst-case within the harmonic cap of the optimum (binary tests);
 * the root lower bound really below the optimal worst case (binary tests);
 * optima only shrinking on subsets;
-* splice results under their worst-case cap (answer-independent prices
-  only — a two-object instance in the test suite proves the cap is
-  unachievable in general) and under their expected-cost cap (always);
-* sweep results under both unit-cost caps.
+* each trade-off line in table order: splices under their worst-case cap
+  (answer-independent prices only — a two-object instance in the test suite
+  proves the cap is unachievable in general) and their expected-cost cap
+  (always), sweeps under both unit-cost caps.
 
-A violated bound is not logged and skipped: the offending instance, trees,
-and parameters are serialized to a replay file and the run aborts with
-:class:`BoundViolation`.  The run aborts on the same row and outcome
-properties that the table prints, recomputed from the stored rationals, so
-a saved table can never disagree with its own numbers or with the checks.
+A violated bound is not logged and skipped: the first in that order has its
+instance, trees, and parameters serialized to a replay file, and the run
+aborts with :class:`BoundViolation`.  The checks read the properties that
+the table prints, so a saved table never disagrees with its own checks.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, NoReturn, Sequence
+from typing import Any, Callable, Iterator, NoReturn, Sequence
 
 from dfep.combine import _has_unit_prices, _splicer, _sweep
 from dfep.greedy import _lower_bound, _pairs_in, divide_pairs
@@ -309,77 +309,69 @@ def _violate(
     )
 
 
-def _check_caps(
-    config: ExperimentConfig,
-    inst: Instance,
-    inputs: tuple[DecisionTree, DecisionTree],
-    result: DecisionTree,
-    variant: str,
-    trade_off: Fraction,
-    worst_cap: Fraction,
-    expected_cap: Fraction,
-    worst_cap_applies: bool,
-) -> TradeOffOutcome:
-    """Price a spliced tree against its caps; a breach aborts with a replay.
-
-    ``inputs`` are the expected-cost and worst-case trees it was spliced from.
-    """
-    report = evaluate(result, inst)
-    outcome = TradeOffOutcome(
-        variant=variant,
-        trade_off=trade_off,
-        achieved_worst=report.worst,
-        achieved_expected=report.expected,
-        worst_cap=worst_cap,
-        expected_cap=expected_cap,
-        worst_cap_applies=worst_cap_applies,
-    )
-    if not outcome.worst_ok or not outcome.expected_ok:
-        _violate(
-            config,
-            inst,
-            f"{variant.replace('-', ' ')} caps",
-            {
-                "trade_off": trade_off,
-                "worst": report.worst,
-                "worst_cap": worst_cap,
-                "expected": report.expected,
-                "expected_cap": expected_cap,
-            },
-            {"expected_tree": inputs[0], "worst_case_tree": inputs[1], "result": result},
-        )
-    return outcome
-
-
 def _has_flat_prices(inst: Instance) -> bool:
     return all(len(set(row)) == 1 for row in inst.cost_table)
 
 
-def _check_optima(
+def _trade_offs(
+    config: ExperimentConfig, inst: Instance, worst: OracleResult, expected: OracleResult
+) -> Iterator[tuple[TradeOffOutcome, DecisionTree]]:
+    """Splice the two optimal trees across the grid and the unit-cost sweeps,
+    and price each result: the outcomes in table order, each with its tree."""
+    flat = _has_flat_prices(inst)
+    # One splicer serves the whole grid and every sweep: it prices the
+    # fallback and checks that both trees cover the same objects once.
+    reference, splice = _splicer(expected.tree, worst.tree, inst)
+
+    def priced(
+        variant: str, trade_off: Fraction, result: DecisionTree, **caps: Any
+    ) -> tuple[TradeOffOutcome, DecisionTree]:
+        report = evaluate(result, inst)
+        return TradeOffOutcome(variant, trade_off, report.worst, report.expected, **caps), result
+
+    fallback_worst = Fraction(reference, inst.kernel.scale)
+    for ratio in config.rho_grid:
+        yield priced(
+            "splice", ratio, splice(ratio * fallback_worst),
+            worst_cap=(1 + ratio) * worst.value,
+            expected_cap=(1 + 1 / ratio) * expected.value,
+            worst_cap_applies=flat,
+        )
+
+    # Unit prices have scale 1, so ``reference`` is the fallback's worst cost.
+    if _has_unit_prices(inst) and reference >= 1:
+        for factor in config.uniform_trade_offs:
+            numerator = factor * reference
+            ratio = Fraction(factor)
+            yield priced(
+                "uniform-sweep", ratio, _sweep(splice, reference, numerator, inst),
+                worst_cap=Fraction(numerator + reference),
+                expected_cap=(1 + 2 / (ratio * ratio + 2 * ratio)) * expected.value,
+                worst_cap_applies=True,
+            )
+
+
+def _check_row(
     config: ExperimentConfig,
     inst: Instance,
     rng: random.Random,
     row: ExperimentRow,
     greedy_tree: DecisionTree,
-    worst_result: OracleResult,
-    expected_result: OracleResult,
-) -> tuple[TradeOffOutcome, ...]:
-    """Check every bound that needs the optima; a breach aborts with a replay.
-
-    The greedy checks read ``row``'s own flags.  Then the optima must not
-    grow on a random subset, and every splice and sweep must meet its caps,
-    whose outcomes are returned in table order.
-    """
-    best_worst, best_expected = worst_result.value, expected_result.value
+    optima: tuple[OracleResult, OracleResult],
+    trade_offs: Sequence[tuple[TradeOffOutcome, DecisionTree]],
+) -> None:
+    """Abort on the first bound broken by ``row`` or a random subset's optima,
+    in table order; the trees that ``trade_offs`` pairs with the row's outcomes fill the replay."""
+    worst_tree, expected_tree = (result.tree for result in optima)
     # The harmonic cap and the root lower bound are proved for binary tests.
-    if inst.num_outcomes == 2:
+    if row.num_outcomes == 2:
         if not row.greedy_within_cap:
             _violate(
                 config,
                 inst,
                 "greedy harmonic cap",
                 {"achieved": row.greedy_worst, "cap": row.harmonic_cap},
-                {"greedy": greedy_tree, "optimal_worst": worst_result.tree},
+                {"greedy": greedy_tree, "optimal_worst": worst_tree},
             )
         if not row.lower_bound_ok:
             _violate(
@@ -387,14 +379,14 @@ def _check_optima(
                 inst,
                 "root lower bound",
                 {"lower_bound": row.lower_bound, "optimum": row.opt_worst},
-                {"optimal_worst": worst_result.tree},
+                {"optimal_worst": worst_tree},
             )
 
     subset = frozenset(s for s in inst.objects if rng.random() < 0.5)
     if not subset:
         subset = frozenset({min(inst.objects)})
     sub_worst, sub_expected = (result.value for result in _optima(subset, inst))
-    if sub_worst > best_worst or sub_expected > best_expected:
+    if sub_worst > row.opt_worst or sub_expected > row.opt_expected:
         _violate(
             config,
             inst,
@@ -402,46 +394,28 @@ def _check_optima(
             {
                 "subset": ",".join(str(s) for s in sorted(subset)),
                 "subset_worst": sub_worst,
-                "full_worst": best_worst,
+                "full_worst": row.opt_worst,
                 "subset_expected": sub_expected,
-                "full_expected": best_expected,
+                "full_expected": row.opt_expected,
             },
             {},
         )
 
-    trade_offs: list[TradeOffOutcome] = []
-    inputs = (expected_result.tree, worst_result.tree)
-    flat = _has_flat_prices(inst)
-    # One splicer serves the whole grid and every sweep: it prices the
-    # fallback and checks that both trees cover the same objects once.
-    reference, splice = _splicer(*inputs, inst)
-    fallback_worst = Fraction(reference, inst.kernel.scale)
-    for ratio in config.rho_grid:
-        spliced = splice(ratio * fallback_worst)
-        trade_offs.append(
-            _check_caps(
-                config, inst, inputs, spliced, "splice", ratio,
-                worst_cap=(1 + ratio) * best_worst,
-                expected_cap=(1 + 1 / ratio) * best_expected,
-                worst_cap_applies=flat,
+    for outcome, result in trade_offs:
+        if not outcome.worst_ok or not outcome.expected_ok:
+            _violate(
+                config,
+                inst,
+                f"{outcome.variant.replace('-', ' ')} caps",
+                {
+                    "trade_off": outcome.trade_off,
+                    "worst": outcome.achieved_worst,
+                    "worst_cap": outcome.worst_cap,
+                    "expected": outcome.achieved_expected,
+                    "expected_cap": outcome.expected_cap,
+                },
+                {"expected_tree": expected_tree, "worst_case_tree": worst_tree, "result": result},
             )
-        )
-
-    # Unit prices have scale 1, so ``reference`` is the fallback's worst cost.
-    if _has_unit_prices(inst) and reference >= 1:
-        for factor in config.uniform_trade_offs:
-            numerator = factor * reference
-            chosen = _sweep(splice, reference, numerator, inst)
-            ratio = Fraction(factor)
-            trade_offs.append(
-                _check_caps(
-                    config, inst, inputs, chosen, "uniform-sweep", ratio,
-                    worst_cap=Fraction(numerator + reference),
-                    expected_cap=(1 + 2 / (ratio * ratio + 2 * ratio)) * best_expected,
-                    worst_cap_applies=True,
-                )
-            )
-    return tuple(trade_offs)
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
@@ -476,6 +450,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
         greedy_tree = divide_pairs(everything, inst)
         greedy_report = evaluate(greedy_tree, inst)
         optima = _optima(everything, inst) if config.oracle_checks else None
+        trade_offs = [] if optima is None else list(_trade_offs(config, inst, *optima))
 
         row = ExperimentRow(
             index=index,
@@ -492,11 +467,10 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
             lower_bound=_lower_bound(greedy_tree, parts, inst),
             opt_worst=None if optima is None else optima[0].value,
             opt_expected=None if optima is None else optima[1].value,
-            trade_offs=(),
+            trade_offs=tuple(outcome for outcome, _ in trade_offs),
         )
         if optima is not None:
-            trade_offs = _check_optima(config, inst, rng, row, greedy_tree, *optima)
-            row = replace(row, trade_offs=trade_offs)
+            _check_row(config, inst, rng, row, greedy_tree, optima, trade_offs)
         rows.append(row)
     return rows
 

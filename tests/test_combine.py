@@ -655,3 +655,63 @@ class TestMalformedExpectedTree:
             with pytest.raises(ValueError) as error:
                 call()
             assert str(error.value) == "invalid tree: test 1 has no branches"
+
+
+class TestOutcomeKeysOutsideTheAlphabet:
+    # A copied node's branch keys are checked against 1..k before any price
+    # is read, with evaluate's own message: key 0 would read the last
+    # outcome's price, and key 3 would read past the end of the row.
+    # Test 0 splits {0, 1} from {2, 3}, and its second answer costs 5.
+    PRICED = Instance.create(
+        classes=[0, 1, 2, 3], outcomes=[[1, 1, 2, 2], [1, 2, 1, 2]], costs=[[1, 5], [1, 1]]
+    )
+    UNIT = TestMalformedFallback.INST
+    UNIT_GOOD = TestMalformedFallback.EXPECTED
+
+    @staticmethod
+    def priced_tree(root_keys=(1, 2), below_keys=(1, 2)) -> Internal:
+        def pair(first: int, second: int) -> Internal:
+            return Internal(
+                1,
+                {
+                    below_keys[0]: Leaf(first, frozenset({first})),
+                    below_keys[1]: Leaf(second, frozenset({second})),
+                },
+            )
+
+        return Internal(0, {root_keys[0]: pair(0, 1), root_keys[1]: pair(2, 3)})
+
+    @staticmethod
+    def unit_tree(root_keys=(1, 2), below_keys=(1, 2)) -> Internal:
+        below = {below_keys[0]: Leaf(0, frozenset({1})), below_keys[1]: Leaf(1, frozenset({2}))}
+        top = {root_keys[0]: Leaf(0, frozenset({0})), root_keys[1]: Internal(1, below)}
+        return Internal(0, top)
+
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_find_replaceable_names_the_key(self, bad):
+        inst = self.PRICED
+        for tree in (self.priced_tree(root_keys=(1, bad)), self.priced_tree(below_keys=(bad, 2))):
+            with pytest.raises(ValueError) as error:
+                find_replaceable(tree, inst, 3)
+            assert str(error.value) == f"tree references outcome {bad} outside 1..2"
+            with pytest.raises(ValueError) as error:
+                evaluate(tree, inst)
+            assert str(error.value) == f"tree references outcome {bad} outside 1..2"
+        # The valid tree hands over only the branch that test 0 prices at 5.
+        assert find_replaceable(self.priced_tree(), inst, 3) == [(2,)]
+
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_combine_trees_names_the_key(self, bad):
+        inst, fallback = self.PRICED, self.priced_tree()
+        for tree in (self.priced_tree(root_keys=(bad, 2)), self.priced_tree(below_keys=(1, bad))):
+            with pytest.raises(ValueError) as error:
+                combine_trees(tree, fallback, 10, inst)
+            assert str(error.value) == f"tree references outcome {bad} outside 1..2"
+
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_combine_uniform_names_the_key(self, bad):
+        inst, fallback = self.UNIT, self.UNIT_GOOD
+        for tree in (self.unit_tree(root_keys=(1, bad)), self.unit_tree(below_keys=(bad, 2))):
+            with pytest.raises(ValueError) as error:
+                combine_uniform(tree, fallback, 2, inst)
+            assert str(error.value) == f"tree references outcome {bad} outside 1..2"

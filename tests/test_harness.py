@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -759,6 +760,68 @@ class TestRunExperiment:
             inst_path.write_text(json.dumps(doc["instance"]))
             assert validate_instance(read_instance(inst_path)) == []
 
+    def test_cap_and_subset_violations_leave_pinned_replays(self, tmp_path, monkeypatch):
+        # The checks past the greedy ones, each forced on a known instance:
+        # a splice cap, by claiming answer-independent prices where prices
+        # depend on the answer, and subset monotonicity, by inflating the
+        # second call of ``_optima`` (the first instance's random subset).
+        # Each replay file's bytes are pinned by their sha256.
+        real_optima = dfep.harness.experiment._optima
+        calls = []
+
+        def inflated(objects, inst):
+            calls.append(objects)
+            results = real_optima(objects, inst)
+            if len(calls) != 2:
+                return results
+            return tuple(dataclasses.replace(r, value=r.value + 100) for r in results)
+
+        cases = [
+            (
+                ExperimentConfig(seed=4, count=3, cost_mode="value-dependent-random"),
+                ("_has_flat_prices", lambda inst: True),
+                "splice caps",
+                "run1+1-repair-tests",
+                {
+                    "trade_off": "1/4",
+                    "worst": "24",
+                    "worst_cap": "20",
+                    "expected": "391/39",
+                    "expected_cap": "125/3",
+                },
+                {"expected_tree", "result", "worst_case_tree"},
+                "f3febe3fb052b7aac378ebf8bc3acfe7c4be911e710d8817bedbe83dd54d6bc9",
+            ),
+            (
+                ExperimentConfig(seed=11, count=3),
+                ("_optima", inflated),
+                "subset monotonicity",
+                "run0",
+                {
+                    "subset": "2",
+                    "subset_worst": "100",
+                    "full_worst": "2",
+                    "subset_expected": "100",
+                    "full_expected": "2",
+                },
+                set(),
+                "2a3a3e599c39cd27c8184c126b1aeb323606cf20777420e8245540658cc6056c",
+            ),
+        ]
+        replay = tmp_path / "replay.json"
+        for config, (name, fake), check, instance, details, trees, digest in cases:
+            config = dataclasses.replace(config, replay_path=str(replay))
+            with monkeypatch.context() as patch:
+                patch.setattr(f"dfep.harness.experiment.{name}", fake)
+                with pytest.raises(BoundViolation, match=check) as error:
+                    run_experiment(config)
+            assert f"failed on instance {instance!r}" in str(error.value)
+            doc = json.loads(replay.read_text())
+            assert doc["check"] == check
+            assert list(doc["details"].items()) == list(details.items())
+            assert set(doc["trees"]) == trees
+            assert hashlib.sha256(replay.read_bytes()).hexdigest() == digest
+
     def test_table_bytes_are_pinned(self, tmp_path):
         # Two instances, with the oracle checks on and off: every column, the
         # trade-off lines of both variants, and the "-" tail of an instance
@@ -798,6 +861,52 @@ class TestRunExperiment:
         table = tmp_path / "table.tsv"
         for oracle_checks, expected in ((True, checked), (False, unchecked)):
             rows = run_experiment(dataclasses.replace(config, oracle_checks=oracle_checks))
+            write_table(rows, table)
+            assert table.read_bytes() == expected.encode()
+
+    def test_table_bytes_are_pinned_for_priced_modes(self, tmp_path):
+        # Priced tests get no sweep lines.  Fixed prices promise the
+        # worst-case cap; answer-dependent ones do not, so at seed 30 run1's
+        # splice at trade-off 1/2 reads worst 5 over a cap of 9/2 and still
+        # "yes" in worst_ok.
+        header = (
+            "index\tseed\tname\tobjects\tclasses\ttests\toutcome_alphabet\tcost_mode\t"
+            "pairs\topt_worst\topt_expected\tgreedy_worst\tgreedy_expected\tgreedy_cap\t"
+            "greedy_ratio\tlower_bound\tvariant\ttrade_off\tachieved_worst\tworst_cap\t"
+            "worst_ok\tachieved_expected\texpected_cap\texpected_ok\n"
+        )
+        run0 = "0\t3415330359\trun0\t4\t4\t5\t2\tfixed-random\t6\t4\t1160/329\t5\t171/47\t"
+        run1 = "1\t3869338171\trun1\t4\t2\t3\t2\tfixed-random\t4\t10\t1241/213\t11\t1241/213\t"
+        fixed = header + (
+            run0 + "49/5\t5/4\t2\tsplice\t1/2\t4\t6\tyes\t1160/329\t3480/329\tyes\n"
+            + run0 + "49/5\t5/4\t2\tsplice\t2\t4\t12\tyes\t1160/329\t1740/329\tyes\n"
+            + run1 + "125/6\t11/10\t2\tsplice\t1/2\t11\t15\tyes\t1241/213\t1241/71\tyes\n"
+            + run1 + "125/6\t11/10\t2\tsplice\t2\t11\t30\tyes\t1241/213\t1241/142\tyes\n"
+        )
+        run0 = (
+            "0\t2670937301\trun0+1-repair-tests\t4\t4\t4\t2\tvalue-dependent-random\t6\t"
+            "14\t1256/183\t14\t1256/183\t343/10\t1\t2\t"
+        )
+        run1 = "1\t32670411\trun1\t3\t2\t6\t2\tvalue-dependent-random\t2\t3\t219/113\t3\t261/113\t"
+        dependent = header + (
+            run0 + "splice\t1/2\t14\t21\tyes\t1256/183\t1256/61\tyes\n"
+            + run0 + "splice\t2\t14\t42\tyes\t1256/183\t628/61\tyes\n"
+            + run1 + "9/2\t1\t3\tsplice\t1/2\t5\t9/2\tyes\t219/113\t657/113\tyes\n"
+            + run1 + "9/2\t1\t3\tsplice\t2\t5\t9\tyes\t219/113\t657/226\tyes\n"
+        )
+        config = ExperimentConfig(
+            count=2,
+            objects=(3, 4),
+            rho_grid=(Fraction(1, 2), Fraction(2)),
+            uniform_trade_offs=(1,),
+            replay_path=str(tmp_path / "replay.json"),
+        )
+        table = tmp_path / "table.tsv"
+        for seed, cost_mode, expected in (
+            (5, "fixed-random", fixed),
+            (30, "value-dependent-random", dependent),
+        ):
+            rows = run_experiment(dataclasses.replace(config, seed=seed, cost_mode=cost_mode))
             write_table(rows, table)
             assert table.read_bytes() == expected.encode()
 
