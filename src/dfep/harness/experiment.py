@@ -23,7 +23,7 @@ the table prints, so a saved table never disagrees with its own checks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Iterator, NoReturn, Sequence
 
@@ -33,7 +33,6 @@ from dfep.harness.generate import COST_MODES, PRIOR_MODES, GeneratorSpec, genera
 from dfep.harness.io import (
     Pathish,
     _dump_document,
-    _expect_int,
     _expect_list,
     _expect_mapping,
     _load_document,
@@ -42,7 +41,7 @@ from dfep.harness.io import (
     parse_rational,
     tree_to_doc,
 )
-from dfep.model import DecisionTree, Instance, evaluate
+from dfep.model import DecisionTree, Instance, _expect_int, evaluate
 from dfep.oracle import DP_OBJECT_LIMIT, OracleResult, _optima, harmonic
 
 __all__ = [
@@ -189,19 +188,9 @@ def _expect_bool(raw: Any, where: str) -> bool:
     return raw
 
 
-def _rho_grid(raw: Any, where: str) -> tuple[Fraction, ...]:
-    if not isinstance(raw, list) or not raw:
-        raise ValueError(f"{where}: expected a nonempty list")
-    return tuple(parse_rational(entry, f"{where}[{k}]") for k, entry in enumerate(raw))
-
-
-def _int_list(raw: Any, where: str) -> tuple[int, ...]:
-    raw = _expect_list(raw, where)
-    return tuple(_expect_int(entry, f"{where}[{k}]") for k, entry in enumerate(raw))
-
-
 # One reader per ExperimentConfig field: it checks the JSON type and returns
-# the field value; _check_config then checks the values.
+# the field value; _check_config then checks the values, and reads each entry
+# of the two trade-off lists as it does for a config built in Python.
 _CONFIG_READERS = {
     "seed": _expect_int,
     "count": _expect_int,
@@ -212,8 +201,8 @@ _CONFIG_READERS = {
     "cost_mode": _expect_str,
     "cost_range": _as_range,
     "prior_mode": _expect_str,
-    "rho_grid": _rho_grid,
-    "uniform_trade_offs": _int_list,
+    "rho_grid": _expect_list,
+    "uniform_trade_offs": _expect_list,
     "oracle_checks": _expect_bool,
     "replay_path": _expect_str,
 }
@@ -233,13 +222,21 @@ def load_config(path: Pathish) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"{path}: unknown configuration keys {sorted(unknown)}")
     parsed = {key: _CONFIG_READERS[key](raw, f"{path}: {key}") for key, raw in doc.items()}
-    config = ExperimentConfig(**parsed)
-    _check_config(config, f"{path}")
-    return config
+    return _check_config(ExperimentConfig(**parsed), f"{path}")
 
 
-def _check_config(config: ExperimentConfig, where: str) -> None:
-    """Reject a config that some draw of the batch could not run."""
+def _check_config(config: ExperimentConfig, where: str) -> ExperimentConfig:
+    """Reject a config that some draw of the batch could not run; return it
+    with each trade-off read as a file's is, an exact rational or an int."""
+    if not config.rho_grid:
+        raise ValueError(f"{where}: rho_grid: expected a nonempty list")
+    rho_grid = tuple(
+        parse_rational(r, f"{where}: rho_grid[{k}]") for k, r in enumerate(config.rho_grid)
+    )
+    factors = tuple(
+        _expect_int(i, f"{where}: uniform_trade_offs[{k}]")
+        for k, i in enumerate(config.uniform_trade_offs)
+    )
     if config.count < 1:
         raise ValueError(f"{where}: count must be positive")
     if config.cost_mode not in COST_MODES:
@@ -254,9 +251,9 @@ def _check_config(config: ExperimentConfig, where: str) -> None:
             raise ValueError(f"{where}: {key}: must be at least {floor}, got {low}")
     if config.outcomes < 2:
         raise ValueError(f"{where}: outcomes: must be at least 2, got {config.outcomes}")
-    if any(r <= 0 for r in config.rho_grid):
+    if any(r <= 0 for r in rho_grid):
         raise ValueError(f"{where}: rho_grid: trade-offs must be positive")
-    if any(i < 1 for i in config.uniform_trade_offs):
+    if any(i < 1 for i in factors):
         raise ValueError(f"{where}: uniform_trade_offs: expected a list of positive integers")
     most_objects = config.objects[1]
     if config.oracle_checks and most_objects > DP_OBJECT_LIMIT:
@@ -276,6 +273,7 @@ def _check_config(config: ExperimentConfig, where: str) -> None:
             f"most {reach} objects, but up to {most_objects} objects of more than "
             "one class can be drawn; raise tests or lower objects"
         )
+    return replace(config, rho_grid=rho_grid, uniform_trade_offs=factors)
 
 
 def _text(value: Any) -> str:
@@ -426,7 +424,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     :func:`load_config` would reject (say, oracle checks on instances beyond
     the solver's size cap, or draws that cannot all be complete).
     """
-    _check_config(config, "config")
+    config = _check_config(config, "config")
     rng = random.Random(config.seed)
     rows: list[ExperimentRow] = []
     for index in range(config.count):

@@ -19,6 +19,7 @@ from dfep.model import (
     Internal,
     Leaf,
     _RATIONAL_TEXT,  # noqa: F401  (the grammar parse_rational accepts)
+    _expect_int,
     as_fraction,
     tree_objects,
     validate_instance,
@@ -51,13 +52,13 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(raw: Any, where: str) -> Fraction:
-    """Parse an int or a "p/q" string; ``where`` names the field in errors.
+    """Parse an int, a "p/q" string or a Fraction; ``where`` names the field in errors.
 
     A string is an optionally signed integer, or one over a positive
     denominator written in digits: "3", "-2/6"; :func:`~dfep.model.as_fraction`
     reads it.
     """
-    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+    if isinstance(raw, bool) or not isinstance(raw, (int, str, Fraction)):
         raise ValueError(f"{where}: expected an integer or a 'p/q' string, got {raw!r}")
     try:
         return as_fraction(raw)
@@ -95,12 +96,6 @@ def _write_text(text: str, path: Pathish) -> None:
 
 def _dump_document(doc: Any, path: Pathish) -> None:
     _write_text(_encode_document(doc, f"{path}"), path)
-
-
-def _expect_int(raw: Any, where: str) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ValueError(f"{where}: expected an integer, got {raw!r}")
-    return raw
 
 
 def _expect_list(raw: Any, where: str) -> list:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -80,6 +80,12 @@ def as_fraction(value: RationalLike) -> Fraction:
         return Fraction(int(numerator), int(denominator or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {value!r} ({exc})") from None
+
+
+def _expect_int(raw: Any, where: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ValueError(f"{where}: expected an integer, got {raw!r}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -150,51 +156,49 @@ class Instance:
 
         ``costs`` may be omitted (unit costs), given as one value per test
         (outcome-independent), or as one row of per-outcome values per test.
-        ``priors`` defaults to uniform.  Shapes are checked here; semantic
-        invariants (prior sum, completeness, ...) are validate_instance's job.
+        ``priors`` defaults to uniform.  Classes, outcomes and ``num_outcomes``
+        must be ints, not bools: nothing is coerced.  Shapes are checked here,
+        by validate_instance's rule and with its text; semantic invariants
+        (prior sum, completeness, ...) are validate_instance's job.
         """
         n = len(classes)
         if n == 0:
             raise ValueError("an instance needs at least one object")
-        rows = tuple(tuple(int(v) for v in row) for row in outcomes)
-        for t, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"outcomes[{t}]: expected {n} entries, got {len(row)}")
+        labels = tuple(_expect_int(c, f"classes[{s}]") for s, c in enumerate(classes))
+        rows = tuple(
+            tuple(_expect_int(v, f"outcomes[{t}][{s}]") for s, v in enumerate(row))
+            for t, row in enumerate(outcomes)
+        )
         if num_outcomes is None:
             num_outcomes = max((max(row) for row in rows if row), default=2)
             num_outcomes = max(num_outcomes, 2)
+        else:
+            num_outcomes = _expect_int(num_outcomes, "num_outcomes")
         if priors is None:
             prior_row = tuple(Fraction(1, n) for _ in range(n))
         else:
-            if len(priors) != n:
-                raise ValueError(f"priors: expected {n} entries, got {len(priors)}")
             prior_row = tuple(as_fraction(p) for p in priors)
         if costs is None:
             cost_rows = tuple(tuple(Fraction(1) for _ in range(num_outcomes)) for _ in rows)
         else:
-            if len(costs) != len(rows):
-                raise ValueError(f"costs: expected {len(rows)} entries, got {len(costs)}")
-            cost_rows_list = []
-            for t, entry in enumerate(costs):
-                if isinstance(entry, (int, str, Fraction)):
-                    row_costs = tuple(as_fraction(entry) for _ in range(num_outcomes))
-                else:
-                    if len(entry) != num_outcomes:
-                        raise ValueError(
-                            f"costs[{t}]: expected {num_outcomes} per-outcome entries, "
-                            f"got {len(entry)}"
-                        )
-                    row_costs = tuple(as_fraction(c) for c in entry)
-                cost_rows_list.append(row_costs)
-            cost_rows = tuple(cost_rows_list)
-        return cls(
-            classes=tuple(int(c) for c in classes),
-            num_outcomes=int(num_outcomes),
+            cost_rows = tuple(
+                tuple(as_fraction(entry) for _ in range(num_outcomes))
+                if isinstance(entry, (int, str, Fraction))
+                else tuple(as_fraction(c) for c in entry)
+                for entry in costs
+            )
+        inst = cls(
+            classes=labels,
+            num_outcomes=num_outcomes,
             outcome_table=rows,
             priors=prior_row,
             cost_table=cost_rows,
             name=name,
         )
+        faults = _shape_faults(inst)
+        if faults:
+            raise ValueError(faults[0])
+        return inst
 
 
 def objects_mask(objects: Iterable[int]) -> int:
@@ -250,25 +254,23 @@ class Kernel:
     @classmethod
     def of(cls, inst: Instance) -> "Kernel":
         n, k = inst.num_objects, inst.num_outcomes
-        if len(inst.priors) != n:
-            raise ValueError(f"priors: expected {n} entries, got {len(inst.priors)}")
         tables = _outcome_digits(k) if k <= 255 else ()
         outcome_masks = []
         for t, row in enumerate(inst.outcome_table):
+            if not tables:
+                outcome_masks.append(_bit_masks(t, row, n, k))
+                continue
             try:
                 # Object s becomes the s-th byte from the right.
                 text = bytes(row)[::-1]
             except (ValueError, TypeError):
-                text = None  # an entry that is not a byte
-            if not tables or text is None:
-                outcome_masks.append(_bit_masks(t, row, n, k))
-                continue
+                text = b""  # an entry that is not a byte, so not in 1..k
             masks = tuple(int(text.translate(table) or b"0", 2) for table in tables)
             # An entry outside 1..k sets no bit, so the masks miss an object.
             if len(row) != n or sum(m.bit_count() for m in masks) != n:
                 raise ValueError(f"outcomes of test {t} are not {n} values in 1..{k}")
             outcome_masks.append(masks)
-        faults = _cost_shape_faults(inst)
+        faults = _shape_faults(inst)
         if faults:
             raise ValueError(faults[0])
         labels: dict[int, int] = {}
@@ -294,10 +296,10 @@ def _outcome_digits(k: int) -> tuple[bytes, ...]:
 
 
 def _bit_masks(t: int, row: Sequence[int], n: int, k: int) -> tuple[int, ...]:
-    """Test ``t``'s outcome masks one bit at a time: for more than 255
-    outcomes, or entries that are not bytes."""
-    # An outcome outside 1..k would land in the wrong mask unnoticed.
-    if len(row) != n or not 1 <= min(row, default=1) <= max(row, default=1) <= k:
+    """Test ``t``'s outcome masks one bit at a time, for more than 255 outcomes."""
+    # An outcome outside 1..k would land in the wrong mask unnoticed, and one
+    # that is not an int would index none.
+    if len(row) != n or not all(isinstance(v, int) and 1 <= v <= k for v in row):
         raise ValueError(f"outcomes of test {t} are not {n} values in 1..{k}")
     masks = [0] * k
     for s, outcome in enumerate(row):
@@ -392,14 +394,20 @@ def _check_objects(objects: Iterable[int], inst: Instance) -> frozenset[int]:
     return out
 
 
-def _cost_shape_faults(inst: Instance) -> list[str]:
-    """Each way the cost table misses one row of ``num_outcomes`` prices per test."""
-    k, rows = inst.num_outcomes, inst.cost_table
-    faults = [
-        f"costs of test {t}: expected {k} entries, got {len(row)}"
-        for t, row in enumerate(rows)
-        if len(row) != k
-    ]
+def _shape_faults(inst: Instance) -> list[str]:
+    """Each way the tables miss the instance's shape: one prior per object,
+    one outcome per object in each test's row, one row of ``num_outcomes``
+    prices per test."""
+    n, k, rows = inst.num_objects, inst.num_outcomes, inst.cost_table
+    faults = []
+    if len(inst.priors) != n:
+        faults.append(f"priors: expected {n} entries, got {len(inst.priors)}")
+    for t, row in enumerate(inst.outcome_table):
+        if len(row) != n:
+            faults.append(f"outcomes of test {t}: expected {n} entries, got {len(row)}")
+    for t, row in enumerate(rows):
+        if len(row) != k:
+            faults.append(f"costs of test {t}: expected {k} entries, got {len(row)}")
     if len(rows) != inst.num_tests:
         faults.append(f"cost table covers {len(rows)} tests, expected {inst.num_tests}")
     return faults
@@ -420,18 +428,9 @@ def validate_instance(inst: Instance) -> list[str]:
     if inst.num_outcomes < 2:
         violations.append(f"num_outcomes must be at least 2, got {inst.num_outcomes}")
 
-    structural = False
-    if len(inst.priors) != n:
-        violations.append(f"priors: expected {n} entries, got {len(inst.priors)}")
-        structural = True
-    for t, row in enumerate(inst.outcome_table):
-        if len(row) != n:
-            violations.append(f"outcomes of test {t}: expected {n} entries, got {len(row)}")
-            structural = True
-    faults = _cost_shape_faults(inst)
-    violations.extend(faults)
-    if structural or faults:
-        return violations
+    faults = _shape_faults(inst)
+    if faults:
+        return violations + faults
 
     for s, cls in enumerate(inst.classes):
         if cls < 0:

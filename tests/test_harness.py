@@ -656,6 +656,12 @@ class TestExperimentConfig:
             ({"uniform_trade_offs": (0,)}, "positive integers"),
             ({"objects": (2, 40), "tests": (6, 8)}, "exceeds oracle cap"),
             ({"objects": (3, 12), "tests": (3, 8)}, "distinguish at most 8 objects"),
+            # A config built in Python gets the file's reading of each trade-off.
+            ({"rho_grid": ()}, "^config: rho_grid: expected a nonempty list$"),
+            ({"rho_grid": (0.5,)}, "rho_grid\\[0\\]: expected an integer or a 'p/q' string"),
+            ({"rho_grid": (True,)}, "rho_grid\\[0\\]: expected an integer or a 'p/q' string"),
+            ({"uniform_trade_offs": (True,)}, "uniform_trade_offs\\[0\\]: expected an integer"),
+            ({"uniform_trade_offs": (1.5,)}, "uniform_trade_offs\\[0\\]: expected an integer"),
         ]:
             with pytest.raises(ValueError, match=pattern):
                 run_experiment(ExperimentConfig(**fields))
@@ -663,6 +669,23 @@ class TestExperimentConfig:
         run_experiment(ExperimentConfig(count=2, objects=(3, 5)))
         assert len(draws) == 2
 
+    def test_int_trade_offs_print_as_a_file_gives_them(self, tmp_path):
+        # (1 + 1/2) * 2 on plain ints is the float 3.0, which the table would print.
+        fields = {"seed": 5, "count": 1, "objects": [3, 4], "uniform_trade_offs": []}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**fields, "rho_grid": [2]}))
+        tables = []
+        for config in (
+            load_config(path),
+            ExperimentConfig(**{**fields, "objects": (3, 4), "rho_grid": (2,)}),
+        ):
+            rows = run_experiment(config)
+            cap = rows[0].trade_offs[0].expected_cap
+            assert type(cap) is Fraction and cap == 3
+            write_table(rows, tmp_path / "table.tsv")
+            tables.append((tmp_path / "table.tsv").read_bytes())
+        assert tables[0] == tables[1]
+        assert b"\tsplice\t2\t" in tables[0] and b"3.0" not in tables[0]
 
     def test_infeasible_sizes_are_rejected_when_loaded(self, tmp_path):
         path = tmp_path / "config.json"

@@ -70,6 +70,100 @@ class TestInstanceCreate:
         with pytest.raises(ValueError):
             Instance.create([], [])
 
+    @pytest.mark.parametrize(
+        "classes, outcomes, num_outcomes, message",
+        [
+            ([0, 1.9], [[1, 2]], None, "classes[1]: expected an integer, got 1.9"),
+            ([0, True], [[1, 2]], None, "classes[1]: expected an integer, got True"),
+            ([0, 1], [[1, 2.7]], None, "outcomes[0][1]: expected an integer, got 2.7"),
+            ([0, 1], [[1, 2], ["2", 1]], None, "outcomes[1][0]: expected an integer, got '2'"),
+            ([0, 1], [[True, 2]], None, "outcomes[0][0]: expected an integer, got True"),
+            ([0, 1], [[1, 2]], True, "num_outcomes: expected an integer, got True"),
+            ([0, 1], [[1, 2]], 2.0, "num_outcomes: expected an integer, got 2.0"),
+        ],
+    )
+    def test_nothing_is_coerced_to_an_int(self, classes, outcomes, num_outcomes, message):
+        with pytest.raises(ValueError) as error:
+            Instance.create(classes, outcomes, num_outcomes=num_outcomes)
+        assert str(error.value) == message
+
+
+# Shape faults on the tables of a 3-object, 2-test binary instance, by the
+# argument of Instance.create they sit in, each with validate_instance's text.
+# A None cost entry is that test's usual price, a scalar or a per-outcome row.
+SHAPE_FAULTS = [
+    pytest.param(
+        "outcomes", [[1, 2], [1, 1, 2]], "outcomes of test 0: expected 3 entries, got 2",
+        id="short outcome row",
+    ),
+    pytest.param(
+        "outcomes", [[1, 2, 2], [1, 1, 2, 1]], "outcomes of test 1: expected 3 entries, got 4",
+        id="long outcome row",
+    ),
+    pytest.param(
+        "priors", ["1/2", "1/2"], "priors: expected 3 entries, got 2", id="one prior too few"
+    ),
+    pytest.param(
+        "priors", ["1/4"] * 4, "priors: expected 3 entries, got 4", id="one prior too many"
+    ),
+    pytest.param(
+        "costs", [[1], None], "costs of test 0: expected 2 entries, got 1", id="short cost row"
+    ),
+    pytest.param(
+        "costs", [None, [3, 4, 5]], "costs of test 1: expected 2 entries, got 3",
+        id="long cost row",
+    ),
+    pytest.param(
+        "costs", [None], "cost table covers 1 tests, expected 2", id="missing cost row"
+    ),
+    pytest.param(
+        "costs", [None] * 3, "cost table covers 3 tests, expected 2", id="extra cost row"
+    ),
+]
+
+
+class TestOneShapeRule:
+    """Instance.create, validate_instance and Kernel.of name a shape fault
+    by one rule, with one text."""
+
+    @pytest.mark.parametrize("per_outcome", [False, True], ids=["scalar", "per-outcome"])
+    @pytest.mark.parametrize("field, value, message", SHAPE_FAULTS)
+    def test_each_fault_has_one_text(self, field, value, message, per_outcome):
+        price = [[1, 2], [3, 4]] if per_outcome else [1, 3]
+        tables = {
+            "classes": [0, 1, 1],
+            "outcomes": [[1, 2, 2], [1, 1, 2]],
+            "priors": ["1/3"] * 3,
+            "costs": price,
+        }
+        tables[field] = value
+        if field == "costs":
+            tables["costs"] = [price[t % 2] if c is None else c for t, c in enumerate(value)]
+        with pytest.raises(ValueError) as error:
+            Instance.create(
+                tables["classes"],
+                tables["outcomes"],
+                priors=tables["priors"],
+                costs=tables["costs"],
+                num_outcomes=2,
+            )
+        inst = Instance(
+            classes=tuple(tables["classes"]),
+            num_outcomes=2,
+            outcome_table=tuple(map(tuple, tables["outcomes"])),
+            priors=tuple(map(as_fraction, tables["priors"])),
+            cost_table=tuple(
+                tuple(map(as_fraction, c)) if isinstance(c, list) else (as_fraction(c),) * 2
+                for c in tables["costs"]
+            ),
+        )
+        assert str(error.value) == message
+        assert validate_instance(inst)[0] == message
+        # The kernel's row loop names a short or long outcome row by its own text.
+        if field == "outcomes":
+            message = re.sub(r": expected .*", " are not 3 values in 1..2", message)
+        assert result_or_error(Kernel.of, inst) == ("error", message)
+
 
 class TestAsFraction:
     # Fraction alone would read all of these, and would expand the exponent
@@ -284,6 +378,34 @@ class TestKernelOf:
         with pytest.raises(ValueError, match=f"^{message}$"):
             Kernel.of(inst)
         assert result_or_error(reference_kernel, inst) == ("error", message)
+
+    @pytest.mark.parametrize("k", [2, 300])
+    @pytest.mark.parametrize("entry", [1.0, "1"])
+    def test_an_entry_that_is_not_an_int_gets_the_row_message(self, k, entry):
+        inst = Instance(
+            classes=(0, 1),
+            num_outcomes=k,
+            outcome_table=((entry, 2),),
+            priors=(Fraction(1, 2),) * 2,
+            cost_table=((Fraction(1),) * k,),
+        )
+        with pytest.raises(ValueError, match=f"^outcomes of test 0 are not 2 values in 1..{k}$"):
+            Kernel.of(inst)
+
+    @pytest.mark.parametrize("k", [2, 300])
+    def test_true_is_read_as_one_on_both_paths(self, k):
+        def kernel(first):
+            return Kernel.of(
+                Instance(
+                    classes=(0, 1),
+                    num_outcomes=k,
+                    outcome_table=((first, 2),),
+                    priors=(Fraction(1, 2),) * 2,
+                    cost_table=((Fraction(1),) * k,),
+                )
+            )
+
+        assert kernel(True) == kernel(1)
 
 
 class TestPartition:
