@@ -13,18 +13,21 @@ promised there.
 
 :func:`combine_uniform` sharpens the trade-off for unit-cost instances by
 sweeping a window of thresholds and keeping the candidate with the lowest
-expected cost.
+expected cost.  It stops at the first candidate that hands nothing over: a
+node that does not cross one threshold crosses no larger one, so the rest
+are copies of it.
 
 Both, and the experiment runner, splice through ``_splicer``, which prices
 the fallback and compares the two trees' object sets once for any number of
-thresholds.
+thresholds.  Each splice also returns its objects' path costs, recorded by
+the walk that builds it, so no result is walked again to be ranked or priced.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from dfep.model import (
     DecisionTree,
@@ -35,6 +38,7 @@ from dfep.model import (
     _check_test,
     _price,
     _restrict,
+    _weighed,
     as_fraction,
     tree_objects,
 )
@@ -63,46 +67,54 @@ def subtree_at(tree: DecisionTree, path: Sequence[int]) -> DecisionTree:
 
 def _splice(
     tree: DecisionTree, threshold: Fraction, inst: Instance, hand_over: Callable[..., DecisionTree]
-) -> DecisionTree:
-    """Copy ``tree``, putting ``hand_over(node, path)`` in place of each node
-    where the walk crosses ``threshold``; nodes are visited in pre-order,
-    ascending by outcome, and none below a handed-over node is visited.
+) -> tuple[DecisionTree, dict[int, int], list[tuple[int, ...]]]:
+    """Copy ``tree``, putting ``hand_over(node, path_cost, costs)`` in place
+    of each node where the walk crosses ``threshold``; nodes are visited in
+    pre-order, ascending by outcome, and none below a handed-over node is
+    visited.  Return the copy, each object's path cost in it times ``scale``
+    (what ``_price`` gives on the copy), and the handed-over nodes' paths.
 
     The walk crosses where the path cost has reached the threshold, or where
     it has not but even the cheapest onward branch would strictly overshoot
     it — the last moment a hand-over can happen at-or-under the threshold.
+    A copied leaf's objects go into ``costs`` at its path cost, and
+    ``hand_over`` puts in those of its result, counted from ``path_cost``.
     """
-    costs = inst.kernel.costs
+    prices = inst.kernel.costs
     outcomes = frozenset(range(1, inst.num_outcomes + 1))
     # Path costs are integers times ``scale``, so a path reaches the
     # threshold p/q where ``path * q >= p * scale``.
     q, bar = threshold.denominator, threshold.numerator * inst.kernel.scale
+    costs: dict[int, int] = {}
+    frontier: list[tuple[int, ...]] = []
     # Each entry copies ``node`` into ``slot[key]``.
     root: dict[int, DecisionTree] = {}
     stack = [(tree, 0, (), root, 0)]
     while stack:
         node, path_cost, path, slot, key = stack.pop()
-        if path_cost * q >= bar:
-            slot[key] = hand_over(node, path)
-            continue
-        if isinstance(node, Leaf):
-            slot[key] = node
-            continue
-        _check_test(node.test, inst)
-        if not node.children:
-            raise ValueError(f"invalid tree: test {node.test} has no branches")
-        if not node.children.keys() <= outcomes:
-            bad = min(node.children.keys() - outcomes)
-            raise ValueError(f"tree references outcome {bad} outside 1..{inst.num_outcomes}")
-        row = costs[node.test]
-        if (path_cost + min(row[i - 1] for i in node.children)) * q > bar:
-            slot[key] = hand_over(node, path)
-        else:
-            children: dict = dict.fromkeys(sorted(node.children))
-            slot[key] = Internal(test=node.test, children=children)
-            for i in reversed(children):
-                stack.append((node.children[i], path_cost + row[i - 1], path + (i,), children, i))
-    return root[0]
+        if path_cost * q < bar:
+            if isinstance(node, Leaf):
+                slot[key] = node
+                costs.update(dict.fromkeys(node.objects, path_cost))
+                continue
+            _check_test(node.test, inst)
+            if not node.children:
+                raise ValueError(f"invalid tree: test {node.test} has no branches")
+            if not node.children.keys() <= outcomes:
+                bad = min(node.children.keys() - outcomes)
+                raise ValueError(f"tree references outcome {bad} outside 1..{inst.num_outcomes}")
+            row = prices[node.test]
+            if (path_cost + min(row[i - 1] for i in node.children)) * q <= bar:
+                children: dict = dict.fromkeys(sorted(node.children))
+                slot[key] = Internal(test=node.test, children=children)
+                stack.extend(
+                    (node.children[i], path_cost + row[i - 1], path + (i,), children, i)
+                    for i in reversed(children)
+                )
+                continue
+        frontier.append(path)
+        slot[key] = hand_over(node, path_cost, costs)
+    return root[0], costs, frontier
 
 
 def find_replaceable(
@@ -117,14 +129,7 @@ def find_replaceable(
     leaf whose path cost reaches the threshold has exactly one returned
     ancestor-or-self.
     """
-    frontier: list[tuple[int, ...]] = []
-
-    def record(node: DecisionTree, path: tuple[int, ...]) -> DecisionTree:
-        frontier.append(path)
-        return node
-
-    _splice(tree, as_fraction(threshold), inst, record)
-    return frontier
+    return _splice(tree, as_fraction(threshold), inst, lambda node, *_: node)[2]
 
 
 def combine_trees(
@@ -151,21 +156,22 @@ def combine_trees(
     if ratio <= 0:
         raise ValueError(f"trade-off must be positive, got {ratio}")
     reference, splice = _splicer(expected_tree, worst_case_tree, inst)
-    return splice(ratio * Fraction(reference, inst.kernel.scale))
+    return splice(ratio * Fraction(reference, inst.kernel.scale))[0]
 
 
 def _splicer(
     expected_tree: DecisionTree, worst_case_tree: DecisionTree, inst: Instance
-) -> tuple[int, Callable[[Fraction], DecisionTree]]:
+) -> tuple[int, Callable[[Fraction], tuple]]:
     """The fallback's worst-case cost times ``inst.kernel.scale``, and the
     splice of the two trees at a given threshold, after the object-set check."""
-    reference = max(_price(worst_case_tree, inst)[0].values(), default=0)
-    if tree_objects(expected_tree) != tree_objects(worst_case_tree):
+    fallback_costs = _price(worst_case_tree, inst)[0]
+    reference = max(fallback_costs.values(), default=0)
+    if tree_objects(expected_tree) != fallback_costs.keys():
         raise ValueError("the two trees cover different object sets")
 
-    def fallback(node: DecisionTree, _: tuple[int, ...]) -> DecisionTree:
+    def fallback(node: DecisionTree, base: int, costs: dict[int, int]) -> DecisionTree:
         # ``node`` holds some of the fallback's objects: restrict_tree's checks hold.
-        return _restrict(worst_case_tree, tree_objects(node), inst)
+        return _restrict(worst_case_tree, tree_objects(node), inst, base, costs)
 
     return reference, lambda threshold: _splice(expected_tree, threshold, inst, fallback)
 
@@ -186,13 +192,23 @@ def _window(reference: int, numerator: int) -> range:
 
 
 def _sweep(
-    splice: Callable[[Fraction], DecisionTree], reference: int, numerator: int, inst: Instance
-) -> DecisionTree:
-    """The unit-cost splice with the smallest expected cost over the window."""
-    # The threshold ``Fraction(i, W) * W`` of trade-off i/W is ``i`` itself.
-    candidates = (splice(Fraction(i)) for i in _window(reference, numerator))
+    splice: Callable[[Fraction], tuple], reference: int, numerator: int, inst: Instance
+) -> tuple[DecisionTree, dict[int, int]]:
+    """The unit-cost splice with the smallest expected cost over the window,
+    and its path costs.  A node that does not cross a threshold crosses no
+    larger one, so every splice after the first that hands nothing over is an
+    equal copy, which cannot win a tie: the sweep stops there."""
+
+    def candidates() -> Iterator[tuple[DecisionTree, dict[int, int]]]:
+        # The threshold ``Fraction(i, W) * W`` of trade-off i/W is ``i`` itself.
+        for i in _window(reference, numerator):
+            tree, costs, frontier = splice(Fraction(i))
+            yield tree, costs
+            if not frontier:
+                return
+
     # ``min`` keeps the first of equal keys, so ties go to the smallest numerator.
-    return min(candidates, key=lambda tree: _price(tree, inst)[1])
+    return min(candidates(), key=lambda candidate: _weighed(candidate[1], inst))
 
 
 def combine_uniform(
@@ -205,8 +221,9 @@ def combine_uniform(
 
     With every test costing exactly 1, thresholds only matter at integer
     values, so instead of one splice this sweeps the numerators in the
-    resolved window, builds one candidate per threshold, and returns the
-    candidate with the smallest expected cost (ties: smallest numerator).
+    resolved window, builds one candidate per threshold up to the first that
+    equals ``expected_tree``, and returns the candidate with the smallest
+    expected cost (ties: smallest numerator).
     The returned tree's worst-case cost is at most ``rho_numerator`` more
     than the fallback's, and the window's lower end is chosen so that the
     expected-cost factor improves on the single-splice cap — for a trade-off
@@ -220,4 +237,4 @@ def combine_uniform(
         raise ValueError(
             f"fallback tree needs a positive integer worst-case cost, got {reference}"
         )
-    return _sweep(splice, reference, rho_numerator, inst)
+    return _sweep(splice, reference, rho_numerator, inst)[0]

@@ -41,7 +41,7 @@ from dfep.harness.io import (
     parse_rational,
     tree_to_doc,
 )
-from dfep.model import DecisionTree, Instance, _expect_int, evaluate
+from dfep.model import DecisionTree, Instance, _expect_int, _weighed, evaluate
 from dfep.oracle import DP_OBJECT_LIMIT, OracleResult, _optima, harmonic
 
 __all__ = [
@@ -315,22 +315,26 @@ def _trade_offs(
     config: ExperimentConfig, inst: Instance, worst: OracleResult, expected: OracleResult
 ) -> Iterator[tuple[TradeOffOutcome, DecisionTree]]:
     """Splice the two optimal trees across the grid and the unit-cost sweeps,
-    and price each result: the outcomes in table order, each with its tree."""
+    and price each result from the path costs its splice recorded: the
+    outcomes in table order, each with its tree."""
     flat = _has_flat_prices(inst)
     # One splicer serves the whole grid and every sweep: it prices the
     # fallback and checks that both trees cover the same objects once.
     reference, splice = _splicer(expected.tree, worst.tree, inst)
+    scale = inst.kernel.scale
 
     def priced(
-        variant: str, trade_off: Fraction, result: DecisionTree, **caps: Any
+        variant: str, trade_off: Fraction, result: DecisionTree, costs: dict, **caps: Any
     ) -> tuple[TradeOffOutcome, DecisionTree]:
-        report = evaluate(result, inst)
-        return TradeOffOutcome(variant, trade_off, report.worst, report.expected, **caps), result
+        achieved_worst = Fraction(max(costs.values(), default=0), scale)
+        achieved_expected = Fraction(_weighed(costs, inst), scale * inst.kernel.weight_scale)
+        outcome = TradeOffOutcome(variant, trade_off, achieved_worst, achieved_expected, **caps)
+        return outcome, result
 
-    fallback_worst = Fraction(reference, inst.kernel.scale)
+    fallback_worst = Fraction(reference, scale)
     for ratio in config.rho_grid:
         yield priced(
-            "splice", ratio, splice(ratio * fallback_worst),
+            "splice", ratio, *splice(ratio * fallback_worst)[:2],
             worst_cap=(1 + ratio) * worst.value,
             expected_cap=(1 + 1 / ratio) * expected.value,
             worst_cap_applies=flat,
@@ -342,7 +346,7 @@ def _trade_offs(
             numerator = factor * reference
             ratio = Fraction(factor)
             yield priced(
-                "uniform-sweep", ratio, _sweep(splice, reference, numerator, inst),
+                "uniform-sweep", ratio, *_sweep(splice, reference, numerator, inst),
                 worst_cap=Fraction(numerator + reference),
                 expected_cap=(1 + 2 / (ratio * ratio + 2 * ratio)) * expected.value,
                 worst_cap_applies=True,

@@ -157,23 +157,21 @@ class Instance:
         ``costs`` may be omitted (unit costs), given as one value per test
         (outcome-independent), or as one row of per-outcome values per test.
         ``priors`` defaults to uniform.  Classes, outcomes and ``num_outcomes``
-        must be ints, not bools: nothing is coerced.  Shapes are checked here,
-        by validate_instance's rule and with its text; semantic invariants
-        (prior sum, completeness, ...) are validate_instance's job.
+        must be ints, not bools: nothing is coerced.  Types and shapes are
+        checked here, by validate_instance's rules and with its texts; semantic
+        invariants (prior sum, completeness, ...) are validate_instance's job.
         """
         n = len(classes)
         if n == 0:
             raise ValueError("an instance needs at least one object")
-        labels = tuple(_expect_int(c, f"classes[{s}]") for s, c in enumerate(classes))
-        rows = tuple(
-            tuple(_expect_int(v, f"outcomes[{t}][{s}]") for s, v in enumerate(row))
-            for t, row in enumerate(outcomes)
-        )
+        labels, rows = tuple(classes), tuple(map(tuple, outcomes))
+        # validate_instance's type rule, before any outcome is compared.
+        k = 2 if num_outcomes is None else num_outcomes
+        faults = _type_faults(cls(labels, k, rows, (), ()))
+        if faults:
+            raise ValueError(faults[0])
         if num_outcomes is None:
-            num_outcomes = max((max(row) for row in rows if row), default=2)
-            num_outcomes = max(num_outcomes, 2)
-        else:
-            num_outcomes = _expect_int(num_outcomes, "num_outcomes")
+            num_outcomes = max(2, max((max(row) for row in rows if row), default=2))
         if priors is None:
             prior_row = tuple(Fraction(1, n) for _ in range(n))
         else:
@@ -413,18 +411,37 @@ def _shape_faults(inst: Instance) -> list[str]:
     return faults
 
 
+def _type_faults(inst: Instance) -> list[str]:
+    """Each entry of the wrong type, named as by Instance.create's arguments:
+    classes, outcomes and the outcome count are ints, and priors and prices
+    exact rationals, ints or Fractions; a bool is neither."""
+    ints, exact = ((int,), "expected an integer, got"), ((int, Fraction), "not an exact rational:")
+    # Each table with the name of its entry s, a template for ``str.format(s)``.
+    tables = [("classes[{}]", inst.classes, ints)]
+    tables += ((f"outcomes[{t}][{{}}]", row, ints) for t, row in enumerate(inst.outcome_table))
+    tables += [("num_outcomes", (inst.num_outcomes,), ints), ("priors[{}]", inst.priors, exact)]
+    tables += ((f"costs[{t}][{{}}]", row, exact) for t, row in enumerate(inst.cost_table))
+    # A table of exactly those types, the usual case, passes without a Python loop.
+    return [f"{name.format(s)}: {text} {v!r}" for name, row, (kinds, text) in tables
+            if not set(map(type, row)) <= set(kinds) for s, v in enumerate(row)
+            if isinstance(v, bool) or not isinstance(v, kinds)]
+
+
 def validate_instance(inst: Instance) -> list[str]:
     """Check every instance invariant; return all violations (empty = ok).
 
     Violations are data, not exceptions: each is a human-readable string
-    naming the broken invariant and a witness.  Structural problems (ragged
-    tables) are reported first and suppress the semantic checks that would
-    trip over them.
+    naming the broken invariant and a witness.  Structural problems (entries
+    of the wrong type, then ragged tables) are reported first and suppress
+    the semantic checks that would trip over them.
     """
     violations: list[str] = []
     n = inst.num_objects
     if n == 0:
         return ["instance has no objects"]
+    type_faults = _type_faults(inst)
+    if type_faults:
+        return type_faults
     if inst.num_outcomes < 2:
         violations.append(f"num_outcomes must be at least 2, got {inst.num_outcomes}")
 
@@ -558,7 +575,7 @@ def _price(tree: DecisionTree, inst: Instance) -> tuple[dict[int, int], int]:
     """:func:`evaluate` in the integers of ``inst.kernel``, with its checks:
     each object's path cost times ``scale`` in evaluate's order, and the
     expected cost times ``scale * weight_scale``."""
-    costs, weights = inst.kernel.costs, inst.kernel.weights
+    costs = inst.kernel.costs
     k, n = inst.num_outcomes, inst.num_objects
     out: dict[int, int] = {}
     # Pre-order with ascending outcomes, on an explicit stack so that depth
@@ -582,8 +599,13 @@ def _price(tree: DecisionTree, inst: Instance) -> tuple[dict[int, int], int]:
             for i in sorted(node.children, reverse=True)
         )
     # Summed after the walk: an object in two leaves counts once, at its last.
-    expected = sum(cost * weights[s] for s, cost in out.items())
-    return out, expected
+    return out, _weighed(out, inst)
+
+
+def _weighed(costs: Mapping[int, int], inst: Instance) -> int:
+    """The expected cost of path costs times ``scale``, times ``scale * weight_scale``."""
+    weights = inst.kernel.weights
+    return sum(cost * weights[s] for s, cost in costs.items())
 
 
 def validate_tree(tree: DecisionTree, objects: Iterable[int], inst: Instance) -> list[str]:
@@ -666,31 +688,44 @@ def restrict_tree(tree: DecisionTree, keep: Iterable[int], inst: Instance) -> De
     return _restrict(tree, _check_objects(wanted, inst), inst)
 
 
-def _restrict(tree: DecisionTree, survivors: frozenset[int], inst: Instance) -> DecisionTree:
+def _restrict(
+    tree: DecisionTree, survivors: frozenset[int], inst: Instance, base: int = 0, out=None
+) -> DecisionTree:
     """:func:`restrict_tree` after its checks.  Objects of two classes that
-    reach a leaf, or an outcome they take that has no branch, raise."""
-    # Each entry routes ``alive`` down ``node`` into ``slot[key]``.
+    reach a leaf, or an outcome they take that has no branch, raise.  Given a
+    dict ``out``, puts each survivor's path cost times ``scale``, plus ``base``, in it."""
+    classes, rows, num_tests = inst.classes, inst.outcome_table, inst.num_tests
+    prices = None if out is None else inst.kernel.costs
+    # Each entry routes ``alive`` down ``node``, at path cost ``cost``, into ``slot[key]``.
     root: dict[int, DecisionTree] = {}
-    stack = [(tree, survivors, root, 0)]
+    stack = [(tree, survivors, base, root, 0)]
     while stack:
-        node, alive, slot, key = stack.pop()
-        labels = {inst.classes[s] for s in alive}
+        node, alive, cost, slot, key = stack.pop()
+        labels = {classes[s] for s in alive}
         if len(labels) == 1:
             slot[key] = Leaf(class_id=labels.pop(), objects=alive)
+            if out is not None:
+                out.update(dict.fromkeys(alive, cost))
             continue
         if isinstance(node, Leaf):
             raise ValueError(f"invalid tree: a leaf gets objects {sorted(alive)} of mixed classes")
-        _check_test(node.test, inst)
-        # ``alive`` holds known objects, so the split checks none of them.
-        buckets = _split(alive, inst.outcome_table[node.test])
-        for i in buckets:
-            if i not in node.children:
-                raise ValueError(f"invalid tree: test {node.test} has no branch for outcome {i}")
-        if len(buckets) == 1:
-            [(outcome, alive)] = buckets.items()
-            stack.append((node.children[outcome], alive, slot, key))
+        if not 0 <= node.test < num_tests:
+            raise ValueError(f"no such test: {node.test}")
+        row = rows[node.test]
+        answers = {row[s] for s in alive}
+        if not answers <= node.children.keys():
+            missing = min(answers - node.children.keys())
+            raise ValueError(f"invalid tree: test {node.test} has no branch for outcome {missing}")
+        if len(answers) == 1:  # a contracted edge, which adds nothing
+            stack.append((node.children[answers.pop()], alive, cost, slot, key))
             continue
+        # ``alive`` holds known objects, so the split checks none of them.
+        buckets = _split(alive, row)
         children: dict = dict.fromkeys(buckets)
         slot[key] = Internal(test=node.test, children=children)
-        stack.extend((node.children[i], bucket, children, i) for i, bucket in buckets.items())
+        step = prices[node.test] if prices else None
+        stack.extend(
+            (node.children[i], bucket, cost + step[i - 1] if step else cost, children, i)
+            for i, bucket in buckets.items()
+        )
     return root[0]

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfep import combine
 from dfep.combine import (
+    _splicer,
     _window,
     combine_trees,
     combine_uniform,
@@ -17,16 +19,18 @@ from dfep.combine import (
     subtree_at,
 )
 from dfep.greedy import divide_pairs
+from dfep.harness.experiment import ExperimentConfig, _trade_offs
 from dfep.model import (
     Instance,
     Internal,
     Leaf,
+    _price,
     evaluate,
     restrict_tree,
     tree_objects,
     validate_tree,
 )
-from dfep.oracle import opt_expected, opt_worst
+from dfep.oracle import _optima, opt_expected, opt_worst
 from tests.conftest import (
     deep_chain,
     enumerate_trees,
@@ -518,6 +522,101 @@ class TestMatchesRecursiveReference:
             assert combine_uniform(low_expected, low_worst, numerator, inst) == candidates[
                 scores.index(min(scores))
             ]
+
+
+class TestPricedSplices:
+    """A splice records each object's path cost in the walk that builds it;
+    the sweep ranks its candidates and the experiment prices its results
+    from those records, without walking a result again."""
+
+    @settings(max_examples=300)
+    @given(splice_cases(), st.data())
+    def test_recorded_costs_are_the_price_of_the_spliced_tree(self, case, data):
+        inst, _, low_expected, low_worst = case
+        reference = evaluate(low_worst, inst).worst
+        ratios = data.draw(
+            st.lists(st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)), min_size=1)
+        )
+        # The path costs that occur in the tree include the root's 0, which
+        # hands the root over, and each leaf's own, which can hand it over.
+        thresholds = sorted(node_path_costs(low_expected, inst))
+        _, splice = _splicer(low_expected, low_worst, inst)
+        for threshold in thresholds + [ratio * reference for ratio in ratios]:
+            tree, costs, frontier = splice(threshold)
+            assert costs == _price(tree, inst)[0]
+            assert frontier == reference_find_replaceable(low_expected, inst, threshold)
+
+    def test_hand_overs_at_the_root_and_at_leaves(self):
+        # The fallback restricted to the survivors contracts every edge above
+        # them, and their costs count from the hand-over's own path cost.
+        inst, tree = caterpillar()
+        _, splice = _splicer(tree, tree, inst)
+        deepest = (1, 1, 1, 1)
+        cases = [(0, [()]), (1, [(1,), (2,)]), (5, [deepest + (1,), deepest + (2,)])]
+        for threshold, expected_frontier in cases:
+            spliced, costs, frontier = splice(Fraction(threshold))
+            assert frontier == expected_frontier
+            assert costs == _price(spliced, inst)[0]
+            assert costs == {s: min(s + 1, 5) for s in inst.objects}
+
+    def test_the_sweep_stops_at_its_first_full_copy(self, monkeypatch):
+        thresholds: list[Fraction] = []
+        splice = combine._splice
+
+        def counted(tree, threshold, *rest):
+            thresholds.append(threshold)
+            return splice(tree, threshold, *rest)
+
+        monkeypatch.setattr(combine, "_splice", counted)
+        rng = random.Random(131)
+        for _ in range(12):
+            inst = random_complete_instance(
+                rng, num_objects=rng.randint(3, 8), num_tests=5, cost_mode="unit"
+            )
+            everything = frozenset(inst.objects)
+            low_expected = opt_expected(everything, inst).tree
+            low_worst = opt_worst(everything, inst).tree
+            reference = int(evaluate(low_worst, inst).worst)
+            deepest = int(evaluate(low_expected, inst).worst)
+            numerator = rng.randint(deepest + 2, deepest + 2 + 2 * reference)
+            window = _window(reference, numerator)
+            # With unit prices a node crosses threshold i where its path cost
+            # reaches i, so the first splice that hands nothing over is at
+            # the first i past the deepest path.
+            first_copy = max(window[0], deepest + 1)
+            candidates = [
+                reference_combine_trees(low_expected, low_worst, Fraction(i, reference), inst)
+                for i in window
+            ]
+            scores = [reference_evaluate(tree, inst).expected for tree in candidates]
+            thresholds.clear()
+            chosen = combine_uniform(low_expected, low_worst, numerator, inst)
+            assert thresholds == [Fraction(i) for i in range(window[0], first_copy + 1)]
+            assert len(thresholds) < len(window)
+            assert chosen == candidates[scores.index(min(scores))]
+
+    @pytest.mark.parametrize("outcomes", [2, 3])
+    @pytest.mark.parametrize("cost_mode", ["unit", "fixed", "value"])
+    def test_each_trade_off_outcome_is_the_price_of_its_tree(self, cost_mode, outcomes):
+        config = ExperimentConfig(uniform_trade_offs=(1, 2, 3))
+        rng = random.Random(137)
+        for _ in range(8):
+            inst = random_complete_instance(
+                rng,
+                num_objects=rng.randint(3, 9),
+                num_tests=rng.randint(3, 6),
+                num_outcomes=outcomes,
+                cost_mode=cost_mode,
+            )
+            variants = set()
+            for outcome, tree in _trade_offs(config, inst, *_optima(frozenset(inst.objects), inst)):
+                report = evaluate(tree, inst)
+                assert (outcome.achieved_worst, outcome.achieved_expected) == (
+                    report.worst,
+                    report.expected,
+                )
+                variants.add(outcome.variant)
+            assert variants == ({"splice", "uniform-sweep"} if cost_mode == "unit" else {"splice"})
 
 
 class TestDeepTrees:

@@ -8,7 +8,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dfep.combine import combine_trees, combine_uniform
@@ -350,6 +350,88 @@ def kernel_cases(draw, outcomes=st.integers(2, 4), objects=st.integers(1, 12)):
     table = list(inst.outcome_table)
     table[t] = faulty_row(table[t], fault, s, k)
     return dataclasses.replace(inst, outcome_table=tuple(table))
+
+
+# Values of the wrong type for an int entry (a class, an outcome, the outcome
+# count) and for an exact-rational one (a prior, a price).
+NOT_INTS = (1.0, 1.5, True, "1")
+NOT_RATIONALS = (0.5, 1.0, True, "1/2", None)
+
+
+@st.composite
+def type_fault_cases(draw):
+    """A ``kernel_cases`` instance, and maybe one entry of it replaced by a
+    value of the wrong type, with the violation that names that entry."""
+    inst = draw(kernel_cases())
+    field = draw(
+        st.sampled_from([None, "classes", "outcome_table", "num_outcomes", "priors", "cost_table"])
+    )
+    if field is None:
+        return inst, None
+    rational = field in ("priors", "cost_table")
+    value = draw(st.sampled_from(NOT_RATIONALS if rational else NOT_INTS))
+    text = f"not an exact rational: {value!r}" if rational else f"expected an integer, got {value!r}"
+    if field == "num_outcomes":
+        return dataclasses.replace(inst, num_outcomes=value), f"num_outcomes: {text}"
+    name = {"outcome_table": "outcomes", "cost_table": "costs"}.get(field, field)
+    table = list(getattr(inst, field))
+    t = draw(st.integers(0, len(table) - 1))
+    if field.endswith("_table"):
+        row = list(table[t])
+        assume(row)
+        j = draw(st.integers(0, len(row) - 1))
+        row[j] = value
+        table[t], where = tuple(row), f"{name}[{t}][{j}]"
+    else:
+        table[t], where = value, f"{name}[{t}]"
+    return dataclasses.replace(inst, **{field: tuple(table)}), f"{where}: {text}"
+
+
+class TestTypeFaults:
+    """validate_instance lists each entry of the wrong type, in
+    Instance.create's words, instead of crashing on it or passing it."""
+
+    BASE = dict(
+        classes=(0, 1),
+        num_outcomes=2,
+        outcome_table=((1, 2),),
+        priors=(Fraction(1, 2),) * 2,
+        cost_table=((Fraction(1),) * 2,),
+    )
+
+    @pytest.mark.parametrize(
+        "field, value, violations",
+        [
+            (
+                "priors",
+                (0.5, 0.5),
+                ["priors[0]: not an exact rational: 0.5", "priors[1]: not an exact rational: 0.5"],
+            ),
+            ("priors", (Fraction(1, 2), True), ["priors[1]: not an exact rational: True"]),
+            ("cost_table", ((1.5, Fraction(1)),), ["costs[0][0]: not an exact rational: 1.5"]),
+            ("cost_table", ((1, "2"),), ["costs[0][1]: not an exact rational: '2'"]),
+            ("outcome_table", ((1.0, 2),), ["outcomes[0][0]: expected an integer, got 1.0"]),
+            ("outcome_table", ((1, True),), ["outcomes[0][1]: expected an integer, got True"]),
+            ("classes", (0, 1.5), ["classes[1]: expected an integer, got 1.5"]),
+            ("num_outcomes", 2.0, ["num_outcomes: expected an integer, got 2.0"]),
+            # An int is an exact rational.
+            ("priors", (1, 0), []),
+            ("cost_table", ((1, 2),), []),
+        ],
+    )
+    def test_each_entry_of_the_wrong_type_is_listed(self, field, value, violations):
+        inst = Instance(**{**self.BASE, field: value})
+        assert validate_instance(inst) == violations
+
+    @settings(max_examples=300)
+    @given(type_fault_cases())
+    def test_an_instance_that_validates_builds_its_kernel(self, case):
+        inst, fault = case
+        violations = validate_instance(inst)
+        if fault is not None:
+            assert fault in violations
+        if not violations:
+            assert Kernel.of(inst) == reference_kernel(inst)
 
 
 class TestKernelOf:
