@@ -98,13 +98,11 @@ def _splice(
                 costs.update(dict.fromkeys(node.objects, path_cost))
                 continue
             _check_test(node.test, inst)
-            if not node.children:
-                raise ValueError(f"invalid tree: test {node.test} has no branches")
             if not node.children.keys() <= outcomes:
                 bad = min(node.children.keys() - outcomes)
                 raise ValueError(f"tree references outcome {bad} outside 1..{inst.num_outcomes}")
             row = prices[node.test]
-            if (path_cost + min(row[i - 1] for i in node.children)) * q <= bar:
+            if node.children and (path_cost + min(row[i - 1] for i in node.children)) * q <= bar:
                 children: dict = dict.fromkeys(sorted(node.children))
                 slot[key] = Internal(test=node.test, children=children)
                 stack.extend(
@@ -112,6 +110,9 @@ def _splice(
                     for i in reversed(children)
                 )
                 continue
+        # A node with no branches cannot be copied, and handed over it holds no objects.
+        if isinstance(node, Internal) and not node.children:
+            raise ValueError(f"invalid tree: test {node.test} has no branches")
         frontier.append(path)
         slot[key] = hand_over(node, path_cost, costs)
     return root[0], costs, frontier

@@ -268,7 +268,9 @@ class Kernel:
             if len(row) != n or sum(m.bit_count() for m in masks) != n:
                 raise ValueError(f"outcomes of test {t} are not {n} values in 1..{k}")
             outcome_masks.append(masks)
-        faults = _shape_faults(inst)
+        # _scaled reads only exact rationals: the type rule on priors and prices.
+        priced = Instance((), 2, (), inst.priors, inst.cost_table)
+        faults = _shape_faults(inst) or _type_faults(priced)
         if faults:
             raise ValueError(faults[0])
         labels: dict[int, int] = {}

@@ -9,9 +9,9 @@ exact rationals.  Each solver is a short bottom-up fold over that table: plain
 dict reads of the children's values, each subset's prior mass summed once, and
 trees spelled on an explicit stack for the input set's winners only.  The
 table is exponential, so it refuses sets larger than a small cap.  Each public
-call builds its own table; ``_optima`` runs the folds of both optima, and
-serves the pair of one object set from one table and one pass.  Everything
-returns exact rationals and a witness tree alongside the optimal value.
+call builds its own table; ``_optima`` scores each split for both optima in
+one walk of its buckets, or for the one asked for alone.  Everything returns
+exact rationals and a witness tree alongside the optimal value.
 
 Provided here:
 
@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul
-from typing import Any, Callable, Iterable
+from operator import itemgetter
+from typing import Any, Iterable
 
 from dfep.model import (
     DecisionTree,
@@ -182,50 +182,44 @@ def _tree(witness: Any, inst: Instance, choice: dict[int, tuple]) -> DecisionTre
     return root[0]
 
 
-def _worst_price(costs: tuple[int, ...], buckets: tuple[int, ...], value: dict) -> int:
-    return max(cost + value[b] for cost, b in zip(costs, buckets) if b)
-
-
-def _expected_price(rows: list, inst: Instance) -> Callable:
-    """The expected-cost price over the subsets of ``rows``: each bucket's
-    prior mass times its cost, plus its optimum."""
-    mass = _masses(inst, rows)
-
-    def price(costs: tuple[int, ...], buckets: tuple[int, ...], value: dict) -> int:
-        return sum(map(mul, map(mass.__getitem__, buckets), costs)) + sum(
-            map(value.__getitem__, buckets)
-        )
-
-    return price
-
-
 def _optima(
     objects: Iterable[int], inst: Instance, *, worst: bool = True, expected: bool = True
 ) -> list[OracleResult]:
     """The optimum of each measure asked for, worst-case first, from one table
-    and one pass: each fold keeps the least ``price(costs, buckets, value)``,
-    ``value`` holding every smaller subset's optimum; ties to the lowest test id."""
+    and one pass: one walk of a split's buckets scores it for both, the largest
+    ``cost + worst`` over its nonempty buckets and the sum of ``mass * cost +
+    expected``.  Each measure keeps its first least split, so ties go to the
+    lowest test id; a measure not asked for is neither scored nor spelled, and
+    prior masses are summed only for the expected cost."""
     rows, kernel = _table(objects, inst), inst.kernel
-    costs = kernel.costs
-    folds = []  # (price, scale, value, choice) per measure
-    if worst:
-        folds.append((_worst_price, kernel.scale, {0: 0}, {}))
-    if expected:
-        folds.append((_expected_price(rows, inst), kernel.scale * kernel.weight_scale, {0: 0}, {}))
+    costs, root = kernel.costs, rows[-1][0]
+    mass = _masses(inst, rows) if expected else {}
+    # Per measure, each subset's optimum and its chosen split.
+    worst_of, worst_choice, expected_of, expected_choice = {0: 0}, {}, {0: 0}, {}
     for mask, splits in rows:
-        for price, _, value, choice in folds:
-            if splits:
-                scores = [price(costs[test], buckets, value) for test, buckets in splits]
-                value[mask] = best = min(scores)
-                choice[mask] = splits[scores.index(best)]
-            else:
-                value[mask] = 0
-    root = rows[-1][0]
+        best_worst = best_expected = None
+        for split in splits:
+            high, total = None, 0
+            for cost, b in zip(costs[split[0]], split[1]):
+                if b:
+                    if worst:
+                        score = cost + worst_of[b]
+                        if high is None or score > high:
+                            high = score
+                    if expected:
+                        total += mass[b] * cost + expected_of[b]
+            if worst and (best_worst is None or high < best_worst):
+                best_worst, worst_choice[mask] = high, split
+            if expected and (best_expected is None or total < best_expected):
+                best_expected, expected_choice[mask] = total, split
+        # A single-class subset has no splits and costs nothing.
+        worst_of[mask], expected_of[mask] = best_worst or 0, best_expected or 0
+    folds = [(worst_of, kernel.scale, worst_choice)] if worst else []
+    if expected:
+        folds.append((expected_of, kernel.scale * kernel.weight_scale, expected_choice))
     return [
-        OracleResult(
-            value=Fraction(value[root], scale), tree=_tree(root, inst, choice), explored=len(rows)
-        )
-        for _, scale, value, choice in folds
+        OracleResult(Fraction(value[root], scale), _tree(root, inst, choice), len(rows))
+        for value, scale, choice in folds
     ]
 
 

@@ -754,6 +754,26 @@ class TestMalformedExpectedTree:
             with pytest.raises(ValueError) as error:
                 call()
             assert str(error.value) == "invalid tree: test 1 has no branches"
+        # Met at the threshold, so about to be handed over: it holds no
+        # objects, and the fallback restricted to none would be a test with
+        # no branches in the result.
+        inst = Instance.create([0, 1, 1], [[1, 2, 2], [1, 1, 2]])
+        good = Internal(0, {1: Leaf(0, frozenset({0})), 2: Leaf(1, frozenset({1, 2}))})
+        bad = Internal(
+            0,
+            {
+                1: Leaf(0, frozenset({0})),
+                2: Internal(1, {1: Leaf(1, frozenset({1, 2})), 2: Internal(0, {})}),
+            },
+        )
+        for call in (
+            lambda: combine_trees(bad, good, 2, inst),
+            lambda: combine_uniform(bad, good, 2, inst),
+            lambda: find_replaceable(bad, inst, 2),
+        ):
+            with pytest.raises(ValueError) as error:
+                call()
+            assert str(error.value) == "invalid tree: test 0 has no branches"
 
 
 class TestOutcomeKeysOutsideTheAlphabet:

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dfep.combine import combine_trees, combine_uniform
+from dfep.greedy import divide_pairs
 from dfep.model import (
     _RATIONAL_TEXT,
     Instance,
@@ -29,6 +30,7 @@ from dfep.model import (
     validate_instance,
     validate_tree,
 )
+from dfep.oracle import opt_worst
 from tests.conftest import (
     brute_force_pair_count,
     brute_force_separated,
@@ -488,6 +490,36 @@ class TestKernelOf:
             )
 
         assert kernel(True) == kernel(1)
+
+    @pytest.mark.parametrize(
+        "priors, prices, message",
+        [
+            ((0.5, 0.5), (1, 1), "priors[0]: not an exact rational: 0.5"),
+            ((Fraction(1, 2), "1/2"), (1, 1), "priors[1]: not an exact rational: '1/2'"),
+            ((Fraction(1, 2),) * 2, (1, 2.0), "costs[0][1]: not an exact rational: 2.0"),
+            ((Fraction(1, 2),) * 2, (True, 1), "costs[0][0]: not an exact rational: True"),
+        ],
+    )
+    def test_a_prior_or_price_that_is_not_exact_is_named(self, priors, prices, message):
+        # Read by every solver without validate_instance, so each names it.
+        inst = Instance(
+            classes=(0, 1),
+            num_outcomes=2,
+            outcome_table=((1, 2),),
+            priors=priors,
+            cost_table=(prices,),
+        )
+        assert message in validate_instance(inst)
+        for call in (
+            lambda: Kernel.of(inst),
+            lambda: inst.kernel,
+            lambda: divide_pairs(frozenset({0, 1}), inst),
+            lambda: opt_worst({0, 1}, inst),
+            lambda: evaluate(Leaf(0, frozenset({0})), inst),
+        ):
+            with pytest.raises(ValueError) as error:
+                call()
+            assert str(error.value) == message
 
 
 class TestPartition:

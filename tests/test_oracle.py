@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfep import oracle
 from dfep.harness.generate import GeneratorSpec, generate
 from dfep.model import Instance, evaluate, validate_tree
 from dfep.oracle import (
@@ -426,6 +427,87 @@ class TestOneFoldForBothMeasures:
     def test_matches_the_standalone_solvers_at_the_cap(self, seed):
         inst = at_the_cap(seed)
         self.check(frozenset(inst.objects), inst)
+
+
+def tie_heavy(seed: int) -> Instance:
+    """An instance whose every split has a twin at an equal score: each
+    outcome row (random ones, and the bit rows that make the instance
+    complete) appears two or three times at equal prices, shuffled among the
+    test ids, with unit or random prices and uniform or random priors."""
+    rng = random.Random(seed)
+    n, k = rng.randint(3, 8), rng.choice([2, 3])
+    base = [[1 + (s >> bit & 1) for s in range(n)] for bit in range((n - 1).bit_length())]
+    base += [[rng.randint(1, k) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+    unit = rng.random() < 0.5
+    tests = []
+    for row in base:
+        prices = [1] * k if unit else [rng.randint(1, 4) for _ in range(k)]
+        tests += [(row, prices)] * rng.randint(2, 3)
+    rng.shuffle(tests)
+    weights = [rng.randint(1, 4) for _ in range(n)]
+    return Instance.create(
+        [rng.randint(0, 2) for _ in range(n)],
+        [row for row, _ in tests],
+        priors=None if rng.random() < 0.5 else [Fraction(w, sum(weights)) for w in weights],
+        costs=[prices for _, prices in tests],
+        num_outcomes=k,
+    )
+
+
+class TestTies:
+    """Equal scores go to the lowest test id in every fold: the first least
+    split is kept, never a later equal one."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_match_the_fraction_reference(self, seed):
+        inst = tie_heavy(seed)
+        rng = random.Random(seed)
+        for members in (frozenset(inst.objects), frozenset(rng.sample(inst.objects, 3))):
+            expected = [reference_result(members, inst, m) for m in ("worst", "expected")]
+            shared = _optima(members, inst)
+            alone = [opt_worst(members, inst), opt_expected(members, inst)]
+            for results in (shared, alone):
+                assert [(r.value, r.tree, r.explored) for r in results] == expected
+
+
+class TestOnlyTheMeasuresAskedFor:
+    """A single-measure call neither scores nor spells the other measure."""
+
+    INST = next(small_instances(811, 1, num_objects=6, num_tests=5, num_outcomes=3))
+
+    def test_worst_sums_no_prior_mass(self, monkeypatch):
+        inst = self.INST
+        want = opt_worst(inst.objects, inst)
+
+        def refuse(*args):
+            raise AssertionError("prior masses summed for the worst case")
+
+        monkeypatch.setattr(oracle, "_masses", refuse)
+        assert opt_worst(inst.objects, inst) == want
+        with pytest.raises(AssertionError):
+            opt_expected(inst.objects, inst)
+
+    @pytest.mark.parametrize("solver", [opt_worst, opt_expected])
+    def test_spells_one_tree(self, monkeypatch, solver):
+        inst, spelled = self.INST, []
+        real = oracle._tree
+        monkeypatch.setattr(oracle, "_tree", lambda *args: spelled.append(args) or real(*args))
+        solver(inst.objects, inst)
+        assert len(spelled) == 1
+
+    def test_worst_is_the_largest_over_nonempty_buckets_below_zero(self):
+        # Unvalidated negative prices: every path costs less than 0, so a
+        # largest bucket score started at 0 would read 0.
+        inst = Instance(
+            classes=(0, 1, 2),
+            num_outcomes=2,
+            outcome_table=((1, 2, 2), (1, 1, 2)),
+            priors=(Fraction(1, 3),) * 3,
+            cost_table=((Fraction(-1), Fraction(-2)), (Fraction(-3), Fraction(-1))),
+        )
+        for result in (opt_worst(inst.objects, inst), _optima(inst.objects, inst)[0]):
+            assert result.value == evaluate(result.tree, inst).worst == -1
+            assert result.tree.test == 0
 
 
 class TestNoCyclicGarbage:
