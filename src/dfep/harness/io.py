@@ -4,6 +4,10 @@ Both document kinds are self-contained, deterministic, and exact: rationals
 travel as ``"p/q"`` strings (plain integers are accepted as shorthand for
 denominator 1), so write-then-read is the identity and equal values produce
 identical bytes.
+
+The instance reader checks the document's rules: its JSON structure, dense
+ids, rationals and name.  Its tables' types and shapes are the rule of
+:meth:`~dfep.model.Instance.create`, which builds the instance.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from typing import Any, Iterable, Union
+from typing import Any, Iterable, Iterator, Union
 
 from dfep.model import (
     DecisionTree,
@@ -139,13 +143,29 @@ def write_instance(inst: Instance, path: Pathish) -> None:
     _dump_document(instance_to_doc(inst), path)
 
 
+def _by_id(entries: list, where: str, kind: str) -> Iterator[tuple[str, int, dict]]:
+    """Each entry of an ``objects`` or ``tests`` list with its name and id,
+    checked as it comes: the ids of the list are dense and unique."""
+    seen = [False] * len(entries)
+    for k, entry in enumerate(entries):
+        at = f"{where}[{k}]"
+        entry = _expect_mapping(entry, at)
+        i = _expect_int(entry.get("id"), f"{at}: id")
+        if not 0 <= i < len(entries):
+            raise ValueError(f"{at}: id {i} outside 0..{len(entries) - 1} (ids must be dense)")
+        if seen[i]:
+            raise ValueError(f"{at}: duplicate {kind} id {i}")
+        seen[i] = True
+        yield at, i, entry
+
+
 def read_instance(path: Pathish, *, validate: bool = True) -> Instance:
     """Load an instance document; by default reject invalid instances.
 
-    Structural problems (missing fields, bad ids, short cost rows) raise
-    immediately with the offending field named.  With ``validate`` on,
-    semantic violations found by :func:`~dfep.model.validate_instance` are
-    embedded in the error as well.
+    The document's rules are checked here, each error naming its field; the
+    tables then go through :meth:`~dfep.model.Instance.create`, whose type and
+    shape texts follow the path.  With ``validate`` on, the first violation
+    that :func:`~dfep.model.validate_instance` lists is raised as well.
     """
     doc = _expect_mapping(_load_document(path), f"{path}")
     num_outcomes = _expect_int(doc.get("num_outcomes"), f"{path}: num_outcomes")
@@ -155,74 +175,29 @@ def read_instance(path: Pathish, *, validate: bool = True) -> Instance:
     if name is not None and not isinstance(name, str):
         raise ValueError(f"{path}: name: expected a string, got {name!r}")
 
-    n = len(raw_objects)
-    classes: list[int | None] = [None] * n
-    priors: list[Fraction | None] = [None] * n
-    for k, entry in enumerate(raw_objects):
-        where = f"{path}: objects[{k}]"
-        entry = _expect_mapping(entry, where)
-        obj = _expect_int(entry.get("id"), f"{where}: id")
-        if not 0 <= obj < n:
-            raise ValueError(
-                f"{where}: id {obj} outside 0..{n - 1} (ids must be dense)"
-            )
-        if classes[obj] is not None:
-            raise ValueError(f"{where}: duplicate object id {obj}")
-        classes[obj] = _expect_int(entry.get("class"), f"{where}: class")
-        priors[obj] = parse_rational(entry.get("prior"), f"{where}: prior")
-
-    num_tests = len(raw_tests)
-    outcome_table: list[tuple[int, ...] | None] = [None] * num_tests
-    cost_table: list[tuple[Fraction, ...] | None] = [None] * num_tests
-    for k, entry in enumerate(raw_tests):
-        where = f"{path}: tests[{k}]"
-        entry = _expect_mapping(entry, where)
-        t = _expect_int(entry.get("id"), f"{where}: id")
-        if not 0 <= t < num_tests:
-            raise ValueError(
-                f"{where}: id {t} outside 0..{num_tests - 1} (ids must be dense)"
-            )
-        if outcome_table[t] is not None:
-            raise ValueError(f"{where}: duplicate test id {t}")
-        costs = _expect_list(entry.get("costs"), f"{where}: costs")
-        if len(costs) < num_outcomes:
-            raise ValueError(
-                f"{where}: test {t} is missing the cost for outcome "
-                f"{len(costs) + 1} (need one per outcome 1..{num_outcomes})"
-            )
-        if len(costs) > num_outcomes:
-            raise ValueError(
-                f"{where}: test {t} has {len(costs)} costs for {num_outcomes} outcomes"
-            )
-        cost_table[t] = tuple(
+    # Entries in id order, set as each id passes the list's id rule.
+    n, m = len(raw_objects), len(raw_tests)
+    classes, priors, outcomes, costs = [None] * n, [None] * n, [None] * m, [None] * m
+    for where, s, entry in _by_id(raw_objects, f"{path}: objects", "object"):
+        classes[s] = entry.get("class")
+        priors[s] = parse_rational(entry.get("prior"), f"{where}: prior")
+    for where, t, entry in _by_id(raw_tests, f"{path}: tests", "test"):
+        row = _expect_list(entry.get("costs"), f"{where}: costs")
+        costs[t] = [
             parse_rational(c, f"{where}: costs[{i}] (test {t}, outcome {i + 1})")
-            for i, c in enumerate(costs)
+            for i, c in enumerate(row)
+        ]
+        outcomes[t] = _expect_list(entry.get("outcomes"), f"{where}: outcomes")
+    try:
+        inst = Instance.create(
+            classes, outcomes, priors=priors, costs=costs, num_outcomes=num_outcomes, name=name
         )
-        outcomes = _expect_list(entry.get("outcomes"), f"{where}: outcomes")
-        if len(outcomes) != n:
-            raise ValueError(
-                f"{where}: test {t} needs one outcome per object (0..{n - 1}); "
-                f"got {len(outcomes)}"
-            )
-        # One type scan per row; a message is built only for an entry that is not a plain int.
-        for s in [s for s, o in enumerate(outcomes) if type(o) is not int]:
-            _expect_int(outcomes[s], f"{where}: outcomes[{s}]")
-        outcome_table[t] = tuple(outcomes)
-
-    inst = Instance(
-        classes=tuple(classes),  # type: ignore[arg-type]
-        num_outcomes=num_outcomes,
-        outcome_table=tuple(outcome_table),  # type: ignore[arg-type]
-        priors=tuple(priors),  # type: ignore[arg-type]
-        cost_table=tuple(cost_table),  # type: ignore[arg-type]
-        name=name,
-    )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if validate:
         problems = validate_instance(inst)
         if problems:
-            raise ValueError(
-                f"{path}: invalid instance:\n" + "\n".join(f"  - {p}" for p in problems)
-            )
+            raise ValueError(f"{path}: invalid instance: {problems[0]}")
     return inst
 
 

@@ -180,9 +180,9 @@ class Instance:
             cost_rows = tuple(tuple(Fraction(1) for _ in range(num_outcomes)) for _ in rows)
         else:
             cost_rows = tuple(
-                tuple(as_fraction(entry) for _ in range(num_outcomes))
-                if isinstance(entry, (int, str, Fraction))
-                else tuple(as_fraction(c) for c in entry)
+                tuple(as_fraction(c) for c in entry)
+                if isinstance(entry, Sequence) and not isinstance(entry, str)
+                else tuple(as_fraction(entry) for _ in range(num_outcomes))
                 for entry in costs
             )
         inst = cls(
@@ -268,9 +268,9 @@ class Kernel:
             if len(row) != n or sum(m.bit_count() for m in masks) != n:
                 raise ValueError(f"outcomes of test {t} are not {n} values in 1..{k}")
             outcome_masks.append(masks)
-        # _scaled reads only exact rationals: the type rule on priors and prices.
-        priced = Instance((), 2, (), inst.priors, inst.cost_table)
-        faults = _shape_faults(inst) or _type_faults(priced)
+        # The type rule on what is read below: sorted labels, and exact rationals for _scaled.
+        typed = Instance(inst.classes, 2, (), inst.priors, inst.cost_table)
+        faults = _shape_faults(inst) or _type_faults(typed)
         if faults:
             raise ValueError(faults[0])
         labels: dict[int, int] = {}
@@ -687,17 +687,17 @@ def restrict_tree(tree: DecisionTree, keep: Iterable[int], inst: Instance) -> De
     if not wanted <= root_objects:
         missing = sorted(wanted - root_objects)
         raise ValueError(f"objects {missing} are not in the tree")
-    return _restrict(tree, _check_objects(wanted, inst), inst)
+    return _restrict(tree, _check_objects(wanted, inst), inst, 0, {})
 
 
 def _restrict(
-    tree: DecisionTree, survivors: frozenset[int], inst: Instance, base: int = 0, out=None
+    tree: DecisionTree, survivors: frozenset[int], inst: Instance, base: int, out: dict[int, int]
 ) -> DecisionTree:
     """:func:`restrict_tree` after its checks.  Objects of two classes that
-    reach a leaf, or an outcome they take that has no branch, raise.  Given a
-    dict ``out``, puts each survivor's path cost times ``scale``, plus ``base``, in it."""
+    reach a leaf, or an outcome they take that has no branch, raise.  Puts
+    each survivor's path cost times ``scale``, plus ``base``, in ``out``."""
     classes, rows, num_tests = inst.classes, inst.outcome_table, inst.num_tests
-    prices = None if out is None else inst.kernel.costs
+    prices = inst.kernel.costs
     # Each entry routes ``alive`` down ``node``, at path cost ``cost``, into ``slot[key]``.
     root: dict[int, DecisionTree] = {}
     stack = [(tree, survivors, base, root, 0)]
@@ -706,8 +706,7 @@ def _restrict(
         labels = {classes[s] for s in alive}
         if len(labels) == 1:
             slot[key] = Leaf(class_id=labels.pop(), objects=alive)
-            if out is not None:
-                out.update(dict.fromkeys(alive, cost))
+            out.update(dict.fromkeys(alive, cost))
             continue
         if isinstance(node, Leaf):
             raise ValueError(f"invalid tree: a leaf gets objects {sorted(alive)} of mixed classes")
@@ -725,9 +724,9 @@ def _restrict(
         buckets = _split(alive, row)
         children: dict = dict.fromkeys(buckets)
         slot[key] = Internal(test=node.test, children=children)
-        step = prices[node.test] if prices else None
+        step = prices[node.test]
         stack.extend(
-            (node.children[i], bucket, cost + step[i - 1] if step else cost, children, i)
+            (node.children[i], bucket, cost + step[i - 1], children, i)
             for i, bucket in buckets.items()
         )
     return root[0]

@@ -313,7 +313,7 @@ class TestInstanceFiles:
         }
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="missing the cost for outcome 3"):
+        with pytest.raises(ValueError, match="costs of test 0: expected 3 entries, got 2"):
             read_instance(path)
 
     def test_duplicate_and_out_of_range_ids(self, tmp_path):
@@ -333,6 +333,89 @@ class TestInstanceFiles:
         path.write_text(json.dumps(base))
         with pytest.raises(ValueError, match="ids must be dense"):
             read_instance(path)
+
+    @pytest.mark.parametrize("kind", ["object", "test"])
+    def test_ids_are_dense_and_unique_in_both_lists(self, tmp_path, kind):
+        doc = {
+            "num_outcomes": 2,
+            "objects": [
+                {"id": 0, "class": 0, "prior": "1/2"},
+                {"id": 1, "class": 1, "prior": "1/2"},
+            ],
+            "tests": [
+                {"id": 0, "costs": [1, 1], "outcomes": [1, 2]},
+                {"id": 1, "costs": [1, 1], "outcomes": [2, 1]},
+            ],
+        }
+        path = tmp_path / "inst.json"
+        for second, message in [
+            (0, f"{kind}s[1]: duplicate {kind} id 0"),
+            (7, f"{kind}s[1]: id 7 outside 0..1 (ids must be dense)"),
+        ]:
+            doc[f"{kind}s"][1]["id"] = second
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError) as error:
+                read_instance(path)
+            assert str(error.value) == f"{path}: {message}"
+
+    TABLES = {
+        "num_outcomes": 3,
+        "objects": [
+            {"id": 0, "class": 0, "prior": "1/2"},
+            {"id": 1, "class": 1, "prior": "1/2"},
+        ],
+        "tests": [{"id": 0, "costs": [1, 1, 2], "outcomes": [1, 3]}],
+    }
+
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("costs", [1, 1]),
+            ("costs", [1, 1, 1, 1]),
+            ("outcomes", [1]),
+            ("outcomes", [1, 3, 2]),
+            ("outcomes", ["1", 3]),
+            ("outcomes", [1.5, 3]),
+            ("outcomes", [True, 3]),
+            ("class", None),
+            ("class", "a"),
+            ("class", 1.5),
+            ("num_outcomes", True),
+        ],
+    )
+    def test_a_table_fault_gets_the_text_of_create(self, tmp_path, field, value, validate):
+        # The reader checks the document; the tables' types and shapes are
+        # Instance.create's rule, so its text follows the path.
+        doc = json.loads(json.dumps(self.TABLES))
+        if field == "class":
+            doc["objects"][1]["class"] = value
+        elif field == "num_outcomes":
+            doc["num_outcomes"] = value
+        else:
+            doc["tests"][0][field] = value
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as created:
+            Instance.create(
+                [entry["class"] for entry in doc["objects"]],
+                [entry["outcomes"] for entry in doc["tests"]],
+                priors=[entry["prior"] for entry in doc["objects"]],
+                costs=[entry["costs"] for entry in doc["tests"]],
+                num_outcomes=doc["num_outcomes"],
+            )
+        with pytest.raises(ValueError) as read:
+            read_instance(path, validate=validate)
+        assert str(read.value) == f"{path}: {created.value}"
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_a_missing_outcome_count_is_refused_not_inferred(self, tmp_path, validate):
+        doc = {key: value for key, value in self.TABLES.items() if key != "num_outcomes"}
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as error:
+            read_instance(path, validate=validate)
+        assert str(error.value) == f"{path}: num_outcomes: expected an integer, got None"
 
     def test_semantic_validation_can_be_deferred(self, tmp_path):
         doc = {
@@ -1096,6 +1179,32 @@ class TestCommandLine:
         run = run_cli("validate", "bad.json", cwd=tmp_path)
         assert run.returncode == 1
         assert "never separated" in run.stdout
+
+    def test_an_invalid_instance_file_gets_one_line(self, tmp_path):
+        # Priors summing to 5/6, a zero price, and objects 0 and 1 of two
+        # classes that no test separates.
+        doc = {
+            "num_outcomes": 2,
+            "objects": [
+                {"id": 0, "class": 0, "prior": "1/2"},
+                {"id": 1, "class": 1, "prior": "1/6"},
+                {"id": 2, "class": 1, "prior": "1/6"},
+            ],
+            "tests": [{"id": 0, "costs": [0, 1], "outcomes": [1, 1, 2]}],
+        }
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        violations = [
+            "prior sums to 5/6, not 1",
+            "cost of test 0 on outcome 1 is 0, not positive",
+            "completeness: objects 0 and 1 are never separated",
+        ]
+        run = run_cli("solve", "--algo", "greedy", "bad.json", cwd=tmp_path)
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr == f"error: bad.json: invalid instance: {violations[0]}\n"
+        run = run_cli("validate", "bad.json", cwd=tmp_path)
+        assert run.returncode == 1
+        assert run.stdout.splitlines() == violations
 
     def test_runtime_errors_exit_one(self, tmp_path):
         run = run_cli("eval", "missing.json", "also-missing.json", cwd=tmp_path)

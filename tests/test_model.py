@@ -62,6 +62,18 @@ class TestInstanceCreate:
         assert inst.cost(0, 1) == Fraction(1, 3)
         assert inst.cost(0, 2) == Fraction(4)
 
+    @pytest.mark.parametrize("price", [0.5, None])
+    def test_a_scalar_price_that_is_not_exact_is_named(self, price):
+        # Only a sequence is a row of prices; any other entry is one price.
+        with pytest.raises(TypeError, match=f"^not an exact rational: {price}$"):
+            Instance.create([0, 1], [[1, 2]], costs=[price])
+
+    def test_a_row_of_prices_may_be_any_sequence(self):
+        rows = ([1, "1/2"], (1, "1/2"), range(1, 3))
+        expected = [(Fraction(1), Fraction(1, 2))] * 2 + [(Fraction(1), Fraction(2))]
+        for row, prices in zip(rows, expected):
+            assert Instance.create([0, 1], [[1, 2]], costs=[row]).cost_table == (prices,)
+
     def test_shape_errors(self):
         with pytest.raises(ValueError):
             Instance.create([0, 1], [[1]])
@@ -516,6 +528,28 @@ class TestKernelOf:
             lambda: divide_pairs(frozenset({0, 1}), inst),
             lambda: opt_worst({0, 1}, inst),
             lambda: evaluate(Leaf(0, frozenset({0})), inst),
+        ):
+            with pytest.raises(ValueError) as error:
+                call()
+            assert str(error.value) == message
+
+    @pytest.mark.parametrize("label", [None, "a", 1.5])
+    def test_a_class_that_is_not_an_int_is_named(self, label):
+        # The kernel sorts the labels: None or "a" beside 0 would raise a bare TypeError.
+        inst = Instance(
+            classes=(0, label),
+            num_outcomes=2,
+            outcome_table=((1, 2),),
+            priors=(Fraction(1, 2),) * 2,
+            cost_table=((Fraction(1),) * 2,),
+        )
+        message = f"classes[1]: expected an integer, got {label!r}"
+        assert validate_instance(inst) == [message]
+        for call in (
+            lambda: Kernel.of(inst),
+            lambda: inst.kernel,
+            lambda: divide_pairs(frozenset({0, 1}), inst),
+            lambda: opt_worst({0, 1}, inst),
         ):
             with pytest.raises(ValueError) as error:
                 call()
