@@ -5,9 +5,10 @@ travel as ``"p/q"`` strings (plain integers are accepted as shorthand for
 denominator 1), so write-then-read is the identity and equal values produce
 identical bytes.
 
-The instance reader checks the document's rules: its JSON structure, dense
-ids, rationals and name.  Its tables' types and shapes are the rule of
-:meth:`~dfep.model.Instance.create`, which builds the instance.
+The instance reader checks the document's rules: its JSON structure, known
+fields, dense ids, rationals and name.  Its tables' types and shapes are the
+rule of :meth:`~dfep.model.Instance.create`, which builds the instance, and
+only the rest of :func:`~dfep.model.validate_instance` runs after it.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from dfep.model import (
     Leaf,
     _RATIONAL_TEXT,  # noqa: F401  (the grammar parse_rational accepts)
     _expect_int,
+    _value_faults,
     as_fraction,
     tree_objects,
-    validate_instance,
     validate_tree,
 )
 
@@ -114,6 +115,22 @@ def _expect_mapping(raw: Any, where: str) -> dict:
     return raw
 
 
+# The fields each kind of document entry may have.
+_FIELDS = {
+    "instance": frozenset({"name", "num_outcomes", "objects", "tests"}),
+    "object": frozenset({"id", "class", "prior"}),
+    "test": frozenset({"id", "costs", "outcomes"}),
+    "leaf": frozenset({"leaf_class", "objects"}),
+    "node": frozenset({"test", "children"}),
+}
+
+
+def _expect_fields(doc: dict, where: str, kind: str) -> None:
+    allowed = _FIELDS[kind]
+    if not doc.keys() <= allowed:
+        raise ValueError(f"{where}: unexpected {kind} fields {sorted(doc.keys() - allowed)}")
+
+
 def instance_to_doc(inst: Instance) -> dict[str, Any]:
     """The plain-data form of an instance, as written to instance files."""
     doc: dict[str, Any] = {}
@@ -145,11 +162,13 @@ def write_instance(inst: Instance, path: Pathish) -> None:
 
 def _by_id(entries: list, where: str, kind: str) -> Iterator[tuple[str, int, dict]]:
     """Each entry of an ``objects`` or ``tests`` list with its name and id,
-    checked as it comes: the ids of the list are dense and unique."""
+    checked as it comes: it has only its kind's fields, and the ids of the
+    list are dense and unique."""
     seen = [False] * len(entries)
     for k, entry in enumerate(entries):
         at = f"{where}[{k}]"
         entry = _expect_mapping(entry, at)
+        _expect_fields(entry, at, kind)
         i = _expect_int(entry.get("id"), f"{at}: id")
         if not 0 <= i < len(entries):
             raise ValueError(f"{at}: id {i} outside 0..{len(entries) - 1} (ids must be dense)")
@@ -162,12 +181,15 @@ def _by_id(entries: list, where: str, kind: str) -> Iterator[tuple[str, int, dic
 def read_instance(path: Pathish, *, validate: bool = True) -> Instance:
     """Load an instance document; by default reject invalid instances.
 
-    The document's rules are checked here, each error naming its field; the
-    tables then go through :meth:`~dfep.model.Instance.create`, whose type and
-    shape texts follow the path.  With ``validate`` on, the first violation
-    that :func:`~dfep.model.validate_instance` lists is raised as well.
+    The document's rules are checked here, each error naming its field, and
+    a field the format does not have is refused; the tables then go through
+    :meth:`~dfep.model.Instance.create`, whose type and shape texts follow the
+    path.  With ``validate`` on, the first violation that
+    :func:`~dfep.model.validate_instance` lists is raised as well; its type
+    and shape rules are not run a second time.
     """
     doc = _expect_mapping(_load_document(path), f"{path}")
+    _expect_fields(doc, f"{path}", "instance")
     num_outcomes = _expect_int(doc.get("num_outcomes"), f"{path}: num_outcomes")
     raw_objects = _expect_list(doc.get("objects"), f"{path}: objects")
     raw_tests = _expect_list(doc.get("tests"), f"{path}: tests")
@@ -195,7 +217,7 @@ def read_instance(path: Pathish, *, validate: bool = True) -> Instance:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if validate:
-        problems = validate_instance(inst)
+        problems = _value_faults(inst)
         if problems:
             raise ValueError(f"{path}: invalid instance: {problems[0]}")
     return inst
@@ -244,9 +266,7 @@ def _tree_from_doc(doc: Any, where: str) -> DecisionTree:
             where, key = f"{where}: children[{key}]", outcome
         node = _expect_mapping(raw, where)
         if "leaf_class" in node:
-            extra = set(node) - {"leaf_class", "objects"}
-            if extra:
-                raise ValueError(f"{where}: unexpected leaf fields {sorted(extra)}")
+            _expect_fields(node, where, "leaf")
             objects = _expect_list(node.get("objects"), f"{where}: objects")
             into[key] = Leaf(
                 class_id=_expect_int(node.get("leaf_class"), f"{where}: leaf_class"),
@@ -255,9 +275,7 @@ def _tree_from_doc(doc: Any, where: str) -> DecisionTree:
                 ),
             )
         elif "test" in node:
-            extra = set(node) - {"test", "children"}
-            if extra:
-                raise ValueError(f"{where}: unexpected node fields {sorted(extra)}")
+            _expect_fields(node, where, "node")
             children_doc = _expect_mapping(node.get("children"), f"{where}: children")
             children = {}
             stack.append((node, where, into, key, children))

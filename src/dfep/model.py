@@ -437,20 +437,28 @@ def validate_instance(inst: Instance) -> list[str]:
     of the wrong type, then ragged tables) are reported first and suppress
     the semantic checks that would trip over them.
     """
-    violations: list[str] = []
-    n = inst.num_objects
-    if n == 0:
+    if inst.num_objects == 0:
         return ["instance has no objects"]
     type_faults = _type_faults(inst)
     if type_faults:
         return type_faults
-    if inst.num_outcomes < 2:
-        violations.append(f"num_outcomes must be at least 2, got {inst.num_outcomes}")
-
     faults = _shape_faults(inst)
     if faults:
-        return violations + faults
+        return _count_faults(inst) + faults
+    return _value_faults(inst)
 
+
+def _count_faults(inst: Instance) -> list[str]:
+    k = inst.num_outcomes
+    return [] if k >= 2 else [f"num_outcomes must be at least 2, got {k}"]
+
+
+def _value_faults(inst: Instance) -> list[str]:
+    """validate_instance's checks on tables of the right types and shape, in
+    its order: the outcome count, class ids, outcomes, priors, prices and
+    completeness.  The instance reader runs only these after
+    :meth:`Instance.create`, which has checked the types and shapes."""
+    violations = _count_faults(inst)
     for s, cls in enumerate(inst.classes):
         if cls < 0:
             violations.append(f"object {s} has negative class id {cls}")

@@ -19,7 +19,10 @@ Provided here:
   cost over all valid trees.
 * :func:`pareto_frontier` — the full worst-vs-expected trade-off staircase,
   built bottom-up from the Pareto set of (worst, expected) pairs of every
-  subset.
+  subset.  No point of a split is below its corner, its buckets' least worst
+  and least expected joined.  Splits join by ascending corner, those a found
+  point beats or ties from a lower test are skipped, and the kept points go
+  back in test order, so ties still go to the lowest test.
 * :func:`opt_expected_under_budget` — minimum expected cost among trees whose
   worst-case cost stays within a budget (None when the budget is infeasible),
   read off the frontier.
@@ -252,36 +255,63 @@ def _frontier(objects: Iterable[int], inst: Instance) -> tuple[list[FrontierPoin
     set's winners become trees.
     """
     rows, kernel = _table(objects, inst), inst.kernel
-    mass = _masses(inst, rows)
+    mass, costs = _masses(inst, rows), kernel.costs
     points: dict[int, list[tuple[int, int, Any]]] = {}
+    # Each subset's least worst and least expected, read off its staircase.
+    least: dict[int, tuple[int, int]] = {}
     for mask, splits in rows:
         if not splits:
-            points[mask] = [(0, 0, mask)]
+            points[mask], least[mask] = [(0, 0, mask)], (0, 0)
             continue
-        options = []
-        for test, buckets in splits:
-            # A split's worst is max(cost_i + worst_i) and its expected is
-            # sum(mass_i * cost_i + expected_i), both monotone in every
-            # child's pair, so the buckets join one at a time and a partial
-            # point beaten on both measures is dropped at once: it only
-            # leads to beaten trees.
-            partial: list[tuple[int, int, tuple]] = [(0, 0, ())]
-            for i, (cost, b) in enumerate(zip(kernel.costs[test], buckets), start=1):
+        # A split's corner (high, total) joins its buckets' least pairs: none
+        # of its points is below it, as high starts at 0 like their worst.
+        corners = []
+        for rank, (test, buckets) in enumerate(splits):
+            high = total = 0
+            for cost, b in zip(costs[test], buckets):
                 if b:
-                    toll = mass[b] * cost
-                    partial = _staircase(
-                        [
-                            (
-                                max(worst, cost + sub_worst),
-                                expected + toll + sub_expected,
-                                kids + ((i, sub),),
-                            )
-                            for worst, expected, kids in partial
-                            for sub_worst, sub_expected, sub in points[b]
-                        ]
-                    )
-            options.extend((worst, expected, (test, kids)) for worst, expected, kids in partial)
-        points[mask] = _staircase(options)
+                    low, floor = least[b]
+                    if cost + low > high:
+                        high = cost + low
+                    total += mass[b] * cost + floor
+            corners.append((total, high, rank))
+        # Splits join by ascending corner, skipping one if a point found so far
+        # is at or below its corner and from a lower test or off the corner:
+        # each of its points is then beaten, or ties a lower test's point.
+        found, joined = [], [()] * len(splits)
+        for total, high, rank in sorted(corners):
+            for worst, expected, r in found:
+                if worst <= high and expected <= total and (
+                    r < rank or worst < high or expected < total
+                ):
+                    break
+            else:
+                test, buckets = splits[rank]
+                # A split's worst is max(cost_i + worst_i) and its expected
+                # is sum(mass_i * cost_i + expected_i), both monotone in
+                # every child's pair, so the buckets join one at a time and a
+                # partial point beaten on both measures is dropped at once:
+                # it only leads to beaten trees.
+                partial: list[tuple[int, int, tuple]] = [(0, 0, ())]
+                for i, (cost, b) in enumerate(zip(costs[test], buckets), start=1):
+                    if b:
+                        toll = mass[b] * cost
+                        partial = _staircase(
+                            [
+                                (
+                                    max(worst, cost + sub_worst),
+                                    expected + toll + sub_expected,
+                                    kids + ((i, sub),),
+                                )
+                                for worst, expected, kids in partial
+                                for sub_worst, sub_expected, sub in points[b]
+                            ]
+                        )
+                found += [(worst, expected, rank) for worst, expected, _ in partial]
+                joined[rank] = [(w, e, (test, kids)) for w, e, kids in partial]
+        # Kept points go back in test order: of equal points the lowest test's stays first.
+        points[mask] = staircase = _staircase([point for part in joined for point in part])
+        least[mask] = staircase[0][0], staircase[-1][1]
     frontier = [
         FrontierPoint(
             Fraction(worst, kernel.scale),

@@ -6,7 +6,10 @@ re-walking trees with a hand-rolled recursion, and the reference greedy
 scores with ``Fraction`` over frozenset partitions instead of the library's
 bitmask kernel.  The reference oracle does the same for the exact optima, and
 finds the frontier by probing a budgeted DP at every realizable path cost
-instead of merging per-subset Pareto sets.  The exhaustive tree enumeration,
+instead of merging per-subset Pareto sets.  A second frontier reference does
+merge them, but joins every split of every subset, with no corner or skip,
+so its witness trees show the tie-breaks the library must keep.  The
+exhaustive tree enumeration,
 which acceptance criterion 6 compares the optima with, recurses over the same
 frozenset splits, never over the library's subset table.  The reference
 splice recurses and finds each child's surviving objects from the child's
@@ -411,6 +414,54 @@ def reference_frontier(members: frozenset[int], inst: Instance) -> list[tuple]:
             points.append((budget, value))
         if value == unconstrained:
             break
+    return points
+
+
+def reference_pareto(objects, inst: Instance) -> tuple[list[tuple], int]:
+    """The frontier as (budget, expected, tree) triples, and the number of
+    subsets explored, by the merging DP over frozensets with ``Fraction``
+    costs: each subset's splits in ascending test id, a split's buckets
+    joined one at a time by ascending outcome, each join cut to its
+    staircase, and of equal points the first kept.  Nothing is skipped."""
+    memo: dict = {}
+    points = _reference_points(frozenset(objects), inst, memo)
+    return points, len(memo)
+
+
+def _reference_staircase(points: list[tuple]) -> list[tuple]:
+    """The points no other beats on both measures, by ascending worst; of
+    equal points the first stays."""
+    out: list[tuple] = []
+    for point in sorted(points, key=lambda p: (p[0], p[1])):
+        if not out or point[1] < out[-1][1]:
+            out.append(point)
+    return out
+
+
+def _reference_points(members: frozenset[int], inst: Instance, memo: dict) -> list[tuple]:
+    if members in memo:
+        return memo[members]
+    if is_homogeneous(members, inst):
+        points = [(Fraction(0), Fraction(0), _reference_leaf(members, inst))]
+    else:
+        options: list[tuple] = []
+        for t, buckets in _reference_splits(members, inst):
+            # Each partial point holds the children joined so far.
+            partial: list[tuple] = [(Fraction(0), Fraction(0), {})]
+            for outcome in sorted(buckets):
+                cost = inst.cost(t, outcome)
+                toll = prior_mass(buckets[outcome], inst) * cost
+                subs = _reference_points(buckets[outcome], inst, memo)
+                partial = _reference_staircase(
+                    [
+                        (max(worst, cost + w), expected + toll + e, {**children, outcome: sub})
+                        for worst, expected, children in partial
+                        for w, e, sub in subs
+                    ]
+                )
+            options += [(w, e, Internal(test=t, children=kids)) for w, e, kids in partial]
+        points = _reference_staircase(options)
+    memo[members] = points
     return points
 
 

@@ -24,7 +24,7 @@ from dfep.harness.experiment import (
 )
 from dfep.combine import combine_trees, combine_uniform
 from dfep.harness.cli import _emit_json, _emit_tree, build_parser, main
-from dfep.harness.generate import GeneratorSpec, generate
+from dfep.harness.generate import COST_MODES, PRIOR_MODES, GeneratorSpec, generate
 from dfep.harness.io import (
     MAX_TREE_DEPTH,
     _RATIONAL_TEXT,
@@ -432,6 +432,93 @@ class TestInstanceFiles:
             read_instance(path)
         inst = read_instance(path, validate=False)
         assert "never separated" in ";".join(validate_instance(inst))
+
+
+    VALID = {
+        "num_outcomes": 2,
+        "objects": [
+            {"id": 0, "class": 0, "prior": "1/2"},
+            {"id": 1, "class": 1, "prior": "1/2"},
+        ],
+        "tests": [{"id": 0, "costs": [1, 2], "outcomes": [1, 2]}],
+    }
+
+    def write_edited(self, tmp_path, edits) -> Path:
+        """``VALID`` with each ``(list or None, field, value)`` edit made in
+        the list's first entry, or at the top level, written to a file."""
+        doc = json.loads(json.dumps(self.VALID))
+        for entry, field, value in edits:
+            (doc if entry is None else doc[entry][0])[field] = value
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ((None, "nmae", "typo"), "unexpected instance fields ['nmae']"),
+            (("objects", "colour", 1), "objects[0]: unexpected object fields ['colour']"),
+            (("tests", "cost", [9, 9]), "tests[0]: unexpected test fields ['cost']"),
+        ],
+        ids=["instance", "object", "test"],
+    )
+    def test_an_unknown_field_is_refused(self, tmp_path, edit, message, validate):
+        path = self.write_edited(tmp_path, [edit])
+        with pytest.raises(ValueError) as error:
+            read_instance(path, validate=validate)
+        assert str(error.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "edits, first",
+        [
+            (
+                [(None, "num_outcomes", 1), ("tests", "costs", [1])],
+                "num_outcomes must be at least 2",
+            ),
+            ([("objects", "class", -1)], "object 0 has negative class id"),
+            ([("tests", "outcomes", [1, 3])], "outcome of test 0 on object 1 is 3"),
+            ([("tests", "outcomes", [0, 2])], "outcome of test 0 on object 0 is 0"),
+            ([("objects", "prior", "-1/2")], "prior of object 0 is negative"),
+            ([("objects", "prior", "1/4")], "prior sums to 3/4"),
+            ([("tests", "costs", [0, 1])], "cost of test 0 on outcome 1 is 0"),
+            ([("tests", "costs", [1, -2])], "cost of test 0 on outcome 2 is -2"),
+            ([("tests", "outcomes", [2, 2])], "completeness: objects 0 and 1"),
+        ],
+        ids=[
+            "outcome-count", "class", "outcome-high", "outcome-low", "prior-sign",
+            "prior-sum", "zero-price", "negative-price", "completeness",
+        ],
+    )
+    def test_a_semantic_fault_gets_the_first_text_of_validate_instance(
+        self, tmp_path, edits, first
+    ):
+        path = self.write_edited(tmp_path, edits)
+        violations = validate_instance(read_instance(path, validate=False))
+        assert violations[0].startswith(first)
+        with pytest.raises(ValueError) as error:
+            read_instance(path)
+        assert str(error.value) == f"{path}: invalid instance: {violations[0]}"
+
+    @pytest.mark.parametrize("cost_mode", COST_MODES)
+    @pytest.mark.parametrize("prior_mode", PRIOR_MODES)
+    def test_every_written_file_reads_back_equal(self, tmp_path, cost_mode, prior_mode):
+        path = tmp_path / "inst.json"
+        for seed in range(3):
+            inst = generate(
+                GeneratorSpec(
+                    num_objects=7,
+                    num_classes=3,
+                    num_outcomes=2 + seed,
+                    num_tests=5,
+                    cost_mode=cost_mode,
+                    prior_mode=prior_mode,
+                    seed=seed,
+                )
+            )
+            for named in (inst, dataclasses.replace(inst, name=None), two_object_instance()):
+                write_instance(named, path)
+                assert read_instance(path) == named
 
 
 class TestTreeFiles:
