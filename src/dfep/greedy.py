@@ -24,13 +24,24 @@ are integer (numerator, denominator) pairs compared by cross-multiplication,
 so the choice is exactly the one the rational scores make.  A score becomes a
 ``Fraction`` only when it is returned or traced.
 
-Each node scores only the tests that split it.  On a node of two or more
-classes a test separates a pair exactly when it splits the node, and a test
-that does not split a node splits none of its descendants; so each child
-inherits its parent's splitting tests, minus the one chosen, in ascending
-order.  The tests dropped were unusable below, so ties still break toward the
-smallest id.  A bucket's resolved pairs depend only on its mask, so each node
-counts each distinct bucket once.
+Each node scores tests in ascending ``(floor, id)`` and stops at the first
+that cannot win.  A test's floor is its largest scaled price, or with empty
+outcomes not scored its second smallest (0 for a row of fewer than two); no
+test that splits a mixed node of ``P`` separable pairs scores below
+``floor / P``.  Proof: the running max starts at 0, so a negative floor bounds
+trivially.  Else some charged outcome costs at least ``floor`` against at most
+``P`` resolved pairs: with empty outcomes scored every outcome is charged (an
+empty one against exactly ``P``), and without them the split answers at least
+two outcomes, the dearer of which costs at least the second smallest price.
+Scanning stops at the first test with ``floor / P`` above the best score so
+far, or equal to it with a higher id than the best test: it and every later
+test lose.  A scored test becomes the best when its score is lower, or equal
+with a lower id, so the choice is the ascending-id scan's first minimum.  A
+test that does not split a mixed node separates none of its pairs and splits
+none of its descendants, so each child inherits, in order and minus the
+chosen test, the tests that split its parent and then the unscored tail,
+which it checks again.  A bucket's resolved pairs depend only on its mask, so
+each node counts each distinct bucket once.
 """
 
 from __future__ import annotations
@@ -113,21 +124,36 @@ def _pairs_in(parts: list[int], mask: int = -1) -> int:
     return (sum(counts) ** 2 - sum(c * c for c in counts)) // 2
 
 
+def _offer(kernel: Kernel, include_empty: bool) -> list[tuple[int, int]]:
+    """Every test as ``(floor, test)``, in the ascending order nodes scan."""
+    nth = -1 if include_empty else 1
+    floors = (sorted(row)[nth] if len(row) > 1 else 0 for row in kernel.costs)
+    return sorted(zip(floors, range(len(kernel.costs))))
+
+
 def _best(
-    kernel: Kernel, group: int, parts: list[int], tests: Iterable[int], include_empty: bool
-) -> tuple[tuple[int, int, int] | None, list[int]]:
-    """The lowest-scoring of ``tests`` on a mixed node, and those that split it.
+    kernel: Kernel, group: int, parts: list[int], tests: list[tuple[int, int]], include_empty: bool
+) -> tuple[tuple[int, int, int] | None, list[tuple[int, int]]]:
+    """The lowest-scoring of ``tests`` (``(floor, test)`` pairs in ascending
+    order) on a mixed node, and those to offer its children.
 
     The lowest is ``(test, cost, pairs)`` for the score ``cost / (kernel.scale
-    * pairs)``, or None if no test splits; only a strictly lower score wins, so
-    ties go to the earliest test.  ``gains`` holds the pairs that answering
-    into each bucket seen on this node resolves.
+    * pairs)``, or None if no test splits; of equal scores the lowest id wins.
+    The scan stops at the first test whose floor shows that it loses to the
+    best so far, and offers it and every later test unscored, after the
+    scanned tests that split.  ``gains`` holds the pairs that answering into
+    each bucket seen on this node resolves.
     """
     total = _pairs_in(parts)
     gains: dict[int, int] = {}
     best: tuple[int, int, int] | None = None
-    splitting: list[int] = []
-    for test in tests:
+    splitting: list[tuple[int, int]] = []
+    offered = iter(tests)
+    for floor, test in offered:
+        if best is not None and (floor * best[2], test) > (best[1] * total, best[0]):
+            splitting.append((floor, test))
+            splitting.extend(offered)
+            break
         num, den = 0, 1
         for mask, cost in zip(kernel.outcome_masks[test], kernel.costs[test]):
             bucket = group & mask
@@ -147,8 +173,8 @@ def _best(
             if cost * den > num * gain:
                 num, den = cost, gain
         else:
-            splitting.append(test)
-            if best is None or num * best[2] < best[1] * den:
+            splitting.append((floor, test))
+            if best is None or (num * best[2], test) < (best[1] * den, best[0]):
                 best = (test, num, den)
     return best, splitting
 
@@ -159,7 +185,7 @@ def _build(
     """The greedy tree over ``group``, built in pre-order on an explicit stack."""
     kernel = inst.kernel
     root: dict[int, DecisionTree] = {}
-    stack: list[tuple] = [(group, root, 0, range(len(kernel.costs)))]
+    stack: list[tuple] = [(group, root, 0, _offer(kernel, include_empty))]
     while stack:
         group, slot, outcome, tests = stack.pop()
         parts = _class_parts(kernel, group)
@@ -179,9 +205,9 @@ def _build(
             trace.steps.append(GreedyStep(mask_objects(group), test, ratio, before, after))
         node = Internal(test=test, children={})
         slot[outcome] = node
-        splitting.remove(test)
+        inherited = [pair for pair in splitting if pair[1] != test]
         # Reversed, so that the lowest outcome is popped (and traced) first.
-        stack.extend((bucket, node.children, i, splitting) for i, bucket in reversed(buckets))
+        stack.extend((bucket, node.children, i, inherited) for i, bucket in reversed(buckets))
     return root[0]
 
 
@@ -202,7 +228,7 @@ def criterion_value(
     kernel, group, parts = _group(objects, inst, test)
     if len(parts) == 1:
         return None  # a split of a single-class set resolves no pairs
-    best, _ = _best(kernel, group, parts, [test], include_empty_outcomes)
+    best, _ = _best(kernel, group, parts, [(0, test)], include_empty_outcomes)
     return None if best is None else Fraction(best[1], kernel.scale * best[2])
 
 
@@ -216,7 +242,8 @@ def select_test(
     kernel, group, parts = _group(objects, inst)
     if len(parts) == 1:
         raise ValueError("object set holds a single class; no test is needed")
-    best, _ = _best(kernel, group, parts, range(inst.num_tests), include_empty_outcomes)
+    tests = _offer(kernel, include_empty_outcomes)
+    best, _ = _best(kernel, group, parts, tests, include_empty_outcomes)
     if best is None:
         raise _incomplete(group)
     return best[0], Fraction(best[1], kernel.scale * best[2])

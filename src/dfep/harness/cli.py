@@ -32,9 +32,9 @@ from dfep.harness.io import (
 from dfep.model import (
     DecisionTree,
     Instance,
+    _value_faults,
     evaluate,
     tree_objects,
-    validate_instance,
     validate_tree,
 )
 from dfep.oracle import opt_expected, opt_worst, pareto_frontier
@@ -64,8 +64,8 @@ def _emit_tree(tree: DecisionTree, output: str | None) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    inst = read_instance(args.instance, validate=False)
-    problems = validate_instance(inst)
+    # The reader's Instance.create has applied the type and shape rules.
+    problems = _value_faults(read_instance(args.instance, validate=False))
     if problems:
         for problem in problems:
             print(problem)

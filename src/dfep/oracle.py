@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Any, Iterable
 
@@ -94,7 +95,8 @@ def harmonic(k: int) -> Fraction:
     """The k-th harmonic number 1 + 1/2 + ... + 1/k, exactly (0 for k=0)."""
     if k < 0:
         raise ValueError(f"harmonic numbers need k >= 0, got {k}")
-    return sum((Fraction(1, i) for i in range(1, k + 1)), Fraction(0))
+    common = lcm(*range(1, k + 1))
+    return Fraction(sum(common // i for i in range(1, k + 1)), common)
 
 
 def _table(objects: Iterable[int], inst: Instance) -> list:

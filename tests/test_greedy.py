@@ -342,6 +342,49 @@ def greedy_cases(draw, objects=(2, 9), tests=(1, 6)):
     return inst, members, draw(st.booleans())
 
 
+@st.composite
+def cut_cases(draw):
+    """An instance of 20-60 objects where equal scores are common, and an
+    object subset: 2-5 outcomes, tests that share outcome rows, and unit
+    prices, prices of 1 and 2, or prices in -2..3 (``Instance.create`` does
+    not validate them).
+
+    Such trees are several levels deep, so many nodes end their scan at a
+    test's price floor, often on a floor equal to the best score.  The tables
+    are drawn by a seeded ``random.Random``, as ``tie_cases`` in
+    ``test_oracle.py`` are, so that they stay large and varied.
+    """
+    rng = draw(st.randoms(use_true_random=True))
+    k, n = rng.randint(2, 5), rng.randint(20, 60)
+    classes = [0, 1] + [rng.randrange(rng.randint(2, 8)) for _ in range(n - 2)]
+    rows = [[rng.randint(1, k) for _ in range(n)] for _ in range(rng.randint(4, 10))]
+    # Each distinct row is given to one to three tests, in shuffled order.
+    rows = [row for row in rows for _ in range(rng.randint(1, 3))]
+    rng.shuffle(rows)
+    m = len(rows)
+    costs = rng.choice([
+        None,
+        [rng.randint(1, 2) for _ in range(m)],
+        [[rng.randint(1, 2) for _ in range(k)] for _ in range(m)],
+        [[rng.randint(-2, 3) for _ in range(k)] for _ in range(m)],
+    ])
+    inst = Instance.create(classes, rows, costs=costs, num_outcomes=k)
+    if rng.random() < 0.5:
+        return inst, frozenset(inst.objects)
+    return inst, frozenset(rng.sample(inst.objects, rng.randint(1, n)))
+
+
+def assert_scores_match(inst, members, empty):
+    """Every test's score and the chosen test equal the ``Fraction`` reference's."""
+    for t in inst.tests:
+        assert criterion_value(
+            members, t, inst, include_empty_outcomes=empty
+        ) == reference_criterion_value(members, t, inst, empty)
+    assert result_or_error(
+        select_test, members, inst, include_empty_outcomes=empty
+    ) == result_or_error(reference_select_test, members, inst, empty)
+
+
 def assert_builds_match(inst, members, empty):
     """Trees, traces and root bounds equal the ``Fraction`` reference's."""
     trace, expected_trace = GreedyTrace(), GreedyTrace()
@@ -357,21 +400,23 @@ def assert_builds_match(inst, members, empty):
 class TestKernelMatchesFractionReference:
     @given(greedy_cases())
     def test_scores_choices_trees_traces_and_bounds(self, case):
-        inst, members, empty = case
-        for t in inst.tests:
-            assert criterion_value(
-                members, t, inst, include_empty_outcomes=empty
-            ) == reference_criterion_value(members, t, inst, empty)
-        assert result_or_error(
-            select_test, members, inst, include_empty_outcomes=empty
-        ) == result_or_error(reference_select_test, members, inst, empty)
-        assert_builds_match(inst, members, empty)
+        assert_scores_match(*case)
+        assert_builds_match(*case)
 
     @given(greedy_cases(objects=(12, 24), tests=(6, 12)))
     def test_deep_trees_traces_and_bounds(self, case):
         # Larger sets grow trees several levels deep, where most tests have
         # stopped splitting and each node scores only what it inherited.
         assert_builds_match(*case)
+
+    @given(cut_cases())
+    def test_where_the_price_floor_cuts(self, case):
+        # Each node stops scoring at the first test whose price floor shows
+        # that it cannot win, often on a floor equal to the best score, and
+        # hands the rest to its children unscored.
+        for empty in (True, False):
+            assert_scores_match(*case, empty)
+            assert_builds_match(*case, empty)
 
 
 def call_depth() -> int:

@@ -500,6 +500,30 @@ class TestInstanceFiles:
             read_instance(path)
         assert str(error.value) == f"{path}: invalid instance: {violations[0]}"
 
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            [("objects", "prior", "1/4")],
+            [("tests", "costs", [0, 1])],
+            [("tests", "costs", [1, -2])],
+            [("tests", "outcomes", [1, 3])],
+            [("objects", "class", -1)],
+            [("tests", "outcomes", [2, 2])],
+            [(None, "num_outcomes", 1), ("tests", "costs", [1])],
+            [("objects", "prior", "1/4"), ("tests", "costs", [0, 1]), ("objects", "class", -1)],
+            [],
+        ],
+        ids=[
+            "prior-sum", "zero-price", "negative-price", "outcome-range", "class",
+            "completeness", "outcome-count", "three-faults", "valid",
+        ],
+    )
+    def test_validate_prints_the_lines_of_validate_instance(self, tmp_path, capsys, edits):
+        path = self.write_edited(tmp_path, edits)
+        violations = validate_instance(read_instance(path, validate=False))
+        assert main(["validate", str(path)]) == (1 if violations else 0)
+        assert capsys.readouterr().out.splitlines() == (violations or ["ok"])
+
     @pytest.mark.parametrize("cost_mode", COST_MODES)
     @pytest.mark.parametrize("prior_mode", PRIOR_MODES)
     def test_every_written_file_reads_back_equal(self, tmp_path, cost_mode, prior_mode):

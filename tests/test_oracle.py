@@ -64,6 +64,12 @@ class TestHarmonic:
         with pytest.raises(ValueError):
             harmonic(-1)
 
+    def test_equals_the_term_by_term_sum(self):
+        total = Fraction(0)
+        for k in range(301):
+            assert harmonic(k) == total
+            total += Fraction(1, k + 1)
+
 
 class TestEnumeration:
     def test_single_class_set_is_one_leaf(self):
