@@ -35,7 +35,7 @@ from dfep.model import (
     Internal,
     Leaf,
     RationalLike,
-    _check_test,
+    _check_node,
     _price,
     _restrict,
     _weighed,
@@ -97,10 +97,7 @@ def _splice(
                 slot[key] = node
                 costs.update(dict.fromkeys(node.objects, path_cost))
                 continue
-            _check_test(node.test, inst)
-            if not node.children.keys() <= outcomes:
-                bad = min(node.children.keys() - outcomes)
-                raise ValueError(f"tree references outcome {bad} outside 1..{inst.num_outcomes}")
+            _check_node(node, inst, outcomes)
             row = prices[node.test]
             if node.children and (path_cost + min(row[i - 1] for i in node.children)) * q <= bar:
                 children: dict = dict.fromkeys(sorted(node.children))

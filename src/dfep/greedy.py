@@ -40,8 +40,7 @@ with a lower id, so the choice is the ascending-id scan's first minimum.  A
 test that does not split a mixed node separates none of its pairs and splits
 none of its descendants, so each child inherits, in order and minus the
 chosen test, the tests that split its parent and then the unscored tail,
-which it checks again.  A bucket's resolved pairs depend only on its mask, so
-each node counts each distinct bucket once.
+which it checks again.
 """
 
 from __future__ import annotations
@@ -141,11 +140,9 @@ def _best(
     * pairs)``, or None if no test splits; of equal scores the lowest id wins.
     The scan stops at the first test whose floor shows that it loses to the
     best so far, and offers it and every later test unscored, after the
-    scanned tests that split.  ``gains`` holds the pairs that answering into
-    each bucket seen on this node resolves.
+    scanned tests that split.
     """
     total = _pairs_in(parts)
-    gains: dict[int, int] = {}
     best: tuple[int, int, int] | None = None
     splitting: list[tuple[int, int]] = []
     offered = iter(tests)
@@ -160,12 +157,10 @@ def _best(
             if bucket == group:
                 break
             if bucket:
-                gain = gains.get(bucket)
-                if gain is None:
-                    kept = bucket.bit_count() ** 2
-                    for part in parts:
-                        kept -= (bucket & part).bit_count() ** 2
-                    gain = gains[bucket] = total - kept // 2
+                kept = bucket.bit_count() ** 2
+                for part in parts:
+                    kept -= (bucket & part).bit_count() ** 2
+                gain = total - kept // 2
             elif include_empty:
                 gain = total
             else:

@@ -23,7 +23,7 @@ the table prints, so a saved table never disagrees with its own checks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterator, NoReturn, Sequence
 
@@ -188,9 +188,20 @@ def _expect_bool(raw: Any, where: str) -> bool:
     return raw
 
 
-# One reader per ExperimentConfig field: it checks the JSON type and returns
-# the field value; _check_config then checks the values, and reads each entry
-# of the two trade-off lists as it does for a config built in Python.
+def _rationals(raw: Any, where: str) -> tuple[Fraction, ...]:
+    entries = _expect_list(raw, where)
+    if not entries:
+        raise ValueError(f"{where}: expected a nonempty list")
+    return tuple(parse_rational(r, f"{where}[{k}]") for k, r in enumerate(entries))
+
+
+def _ints(raw: Any, where: str) -> tuple[int, ...]:
+    return tuple(_expect_int(i, f"{where}[{k}]") for k, i in enumerate(_expect_list(raw, where)))
+
+
+# One reader per ExperimentConfig field, in field order: it checks the JSON
+# type and returns the field value.  _check_config runs them on every config,
+# from a file or Python alike (a tuple read as its list), then checks values.
 _CONFIG_READERS = {
     "seed": _expect_int,
     "count": _expect_int,
@@ -201,8 +212,8 @@ _CONFIG_READERS = {
     "cost_mode": _expect_str,
     "cost_range": _as_range,
     "prior_mode": _expect_str,
-    "rho_grid": _expect_list,
-    "uniform_trade_offs": _expect_list,
+    "rho_grid": _rationals,
+    "uniform_trade_offs": _ints,
     "oracle_checks": _expect_bool,
     "replay_path": _expect_str,
 }
@@ -214,29 +225,24 @@ _RANGE_FLOORS = (("objects", 2), ("classes", 1), ("tests", 1), ("cost_range", 1)
 def load_config(path: Pathish) -> ExperimentConfig:
     """Read a batch description from a JSON file (unknown keys rejected).
 
-    Every field is type-checked, and the config gets every check
-    :func:`run_experiment` makes, so a bad file fails before any draw.
+    The config gets every check :func:`run_experiment` makes, so a bad file
+    fails before any draw.
     """
     doc = _expect_mapping(_load_document(path), f"{path}")
     unknown = set(doc) - set(_CONFIG_READERS)
     if unknown:
         raise ValueError(f"{path}: unknown configuration keys {sorted(unknown)}")
-    parsed = {key: _CONFIG_READERS[key](raw, f"{path}: {key}") for key, raw in doc.items()}
-    return _check_config(ExperimentConfig(**parsed), f"{path}")
+    return _check_config(ExperimentConfig(**doc), f"{path}")
 
 
 def _check_config(config: ExperimentConfig, where: str) -> ExperimentConfig:
     """Reject a config that some draw of the batch could not run; return it
-    with each trade-off read as a file's is, an exact rational or an int."""
-    if not config.rho_grid:
-        raise ValueError(f"{where}: rho_grid: expected a nonempty list")
-    rho_grid = tuple(
-        parse_rational(r, f"{where}: rho_grid[{k}]") for k, r in enumerate(config.rho_grid)
-    )
-    factors = tuple(
-        _expect_int(i, f"{where}: uniform_trade_offs[{k}]")
-        for k, i in enumerate(config.uniform_trade_offs)
-    )
+    rebuilt from what its field readers return."""
+    fields = {}
+    for key, read in _CONFIG_READERS.items():
+        raw = getattr(config, key)
+        fields[key] = read(list(raw) if isinstance(raw, tuple) else raw, f"{where}: {key}")
+    config = ExperimentConfig(**fields)
     if config.count < 1:
         raise ValueError(f"{where}: count must be positive")
     if config.cost_mode not in COST_MODES:
@@ -251,9 +257,9 @@ def _check_config(config: ExperimentConfig, where: str) -> ExperimentConfig:
             raise ValueError(f"{where}: {key}: must be at least {floor}, got {low}")
     if config.outcomes < 2:
         raise ValueError(f"{where}: outcomes: must be at least 2, got {config.outcomes}")
-    if any(r <= 0 for r in rho_grid):
+    if any(r <= 0 for r in config.rho_grid):
         raise ValueError(f"{where}: rho_grid: trade-offs must be positive")
-    if any(i < 1 for i in factors):
+    if any(i < 1 for i in config.uniform_trade_offs):
         raise ValueError(f"{where}: uniform_trade_offs: expected a list of positive integers")
     most_objects = config.objects[1]
     if config.oracle_checks and most_objects > DP_OBJECT_LIMIT:
@@ -273,7 +279,7 @@ def _check_config(config: ExperimentConfig, where: str) -> ExperimentConfig:
             f"most {reach} objects, but up to {most_objects} objects of more than "
             "one class can be drawn; raise tests or lower objects"
         )
-    return replace(config, rho_grid=rho_grid, uniform_trade_offs=factors)
+    return config
 
 
 def _text(value: Any) -> str:
@@ -424,9 +430,8 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     """Run one batch and return its rows; :func:`write_table` saves them.
 
     Raises :class:`BoundViolation` the moment any exact bound check fails;
-    raises ValueError, before the first draw, on a config that
-    :func:`load_config` would reject (say, oracle checks on instances beyond
-    the solver's size cap, or draws that cannot all be complete).
+    raises ValueError before the first draw on a config that
+    :func:`load_config` would refuse in a file, with the file's text.
     """
     config = _check_config(config, "config")
     rng = random.Random(config.seed)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from dfep.model import Instance, unseparated_pairs, validate_instance
+from dfep.model import Instance, _expect_int, unseparated_pairs, validate_instance
 
 __all__ = ["COST_MODES", "PRIOR_MODES", "GeneratorSpec", "generate"]
 
@@ -44,6 +44,8 @@ class GeneratorSpec:
 
 
 def _check_spec(spec: GeneratorSpec) -> None:
+    for key in ("num_objects", "num_classes", "num_tests", "num_outcomes", "seed"):
+        _expect_int(getattr(spec, key), key)
     if spec.num_objects < 2:
         raise ValueError(f"need at least 2 objects, got {spec.num_objects}")
     if spec.num_classes < 1:

@@ -243,19 +243,15 @@ def tree_to_doc(tree: DecisionTree) -> dict[str, Any]:
 
 def _tree_from_doc(doc: Any, where: str) -> DecisionTree:
     # A recursive descent on an explicit stack, so that depth is unbounded.
-    # An entry (document, where, parent, key, None) parses a node into
-    # parent[key]; below the root, ``where`` is the parent's and ``key`` the
-    # raw children key, checked first.  Children are parsed in document
-    # order, and a node's test id is checked after all of them, from an entry
-    # (node, where, parent, key, children) that then builds the node.
+    # An entry (document, where, parent, key) parses a node into parent[key];
+    # below the root, ``where`` is the parent's and ``key`` the raw children
+    # key, checked first.  A node's own fields are checked when it is
+    # visited, an internal node's test id after its children mapping, and
+    # its children are then parsed in document order.
     root: dict[Any, DecisionTree] = {}
-    stack: list[tuple[Any, str, dict, Any, Any]] = [(doc, where, root, None, None)]
+    stack: list[tuple[Any, str, dict, Any]] = [(doc, where, root, None)]
     while stack:
-        raw, where, into, key, children = stack.pop()
-        if children is not None:
-            test = _expect_int(raw.get("test"), f"{where}: test")
-            into[key] = Internal(test=test, children=children)
-            continue
+        raw, where, into, key = stack.pop()
         if key is not None:
             try:
                 # Only the writer's spelling: no "+", padding or other digits.
@@ -277,11 +273,10 @@ def _tree_from_doc(doc: Any, where: str) -> DecisionTree:
         elif "test" in node:
             _expect_fields(node, where, "node")
             children_doc = _expect_mapping(node.get("children"), f"{where}: children")
-            children = {}
-            stack.append((node, where, into, key, children))
-            stack.extend(
-                (sub, where, children, k, None) for k, sub in reversed(children_doc.items())
-            )
+            test = _expect_int(node.get("test"), f"{where}: test")
+            children: dict[int, DecisionTree] = {}
+            into[key] = Internal(test=test, children=children)
+            stack.extend((sub, where, children, k) for k, sub in reversed(children_doc.items()))
         else:
             raise ValueError(f"{where}: node needs either 'leaf_class' or 'test'")
     return root[None]

@@ -386,6 +386,15 @@ def _check_test(test: int, inst: Instance) -> None:
         raise ValueError(f"no such test: {test}")
 
 
+def _check_node(node: Internal, inst: Instance, outcomes: frozenset[int]) -> None:
+    """The rule for each internal node a pricing walk visits: a known test,
+    then branch keys among ``outcomes``, the instance's ``1..k``."""
+    _check_test(node.test, inst)
+    if not node.children.keys() <= outcomes:
+        bad = min(node.children.keys() - outcomes)
+        raise ValueError(f"tree references outcome {bad!r} outside 1..{inst.num_outcomes}")
+
+
 def _check_objects(objects: Iterable[int], inst: Instance) -> frozenset[int]:
     out = frozenset(objects)
     bad = [s for s in out if not 0 <= s < inst.num_objects]
@@ -585,28 +594,24 @@ def _price(tree: DecisionTree, inst: Instance) -> tuple[dict[int, int], int]:
     """:func:`evaluate` in the integers of ``inst.kernel``, with its checks:
     each object's path cost times ``scale`` in evaluate's order, and the
     expected cost times ``scale * weight_scale``."""
-    costs = inst.kernel.costs
-    k, n = inst.num_outcomes, inst.num_objects
+    costs, n = inst.kernel.costs, inst.num_objects
+    outcomes = frozenset(range(1, inst.num_outcomes + 1))
     out: dict[int, int] = {}
     # Pre-order with ascending outcomes, on an explicit stack so that depth
-    # is unbounded; each entry is (test, outcome) of the edge into ``node``.
-    stack: list[tuple[int | None, int, DecisionTree, int]] = [(None, 0, tree, 0)]
+    # is unbounded; each entry is a node and its path cost.
+    stack: list[tuple[DecisionTree, int]] = [(tree, 0)]
     while stack:
-        test, outcome, node, acc = stack.pop()
-        if test is not None:
-            if not 1 <= outcome <= k:
-                raise ValueError(f"tree references outcome {outcome} outside 1..{k}")
-            acc += costs[test][outcome - 1]
+        node, acc = stack.pop()
         if isinstance(node, Leaf):
             for s in node.objects:
                 if not 0 <= s < n:
                     raise ValueError(f"tree references unknown object {s}")
                 out[s] = acc
             continue
-        _check_test(node.test, inst)
+        _check_node(node, inst, outcomes)
+        row = costs[node.test]
         stack.extend(
-            (node.test, i, node.children[i], acc)
-            for i in sorted(node.children, reverse=True)
+            (node.children[i], acc + row[i - 1]) for i in sorted(node.children, reverse=True)
         )
     # Summed after the walk: an object in two leaves counts once, at its last.
     return out, _weighed(out, inst)

@@ -148,19 +148,12 @@ def path_costs_by_walking(tree: DecisionTree, inst: Instance) -> dict[int, Fract
 
 def reference_evaluate(tree: DecisionTree, inst: Instance) -> CostReport:
     """Path costs summed in ``Fraction``s on an explicit stack, checking each
-    edge's outcome, then each leaf's objects, then each node's test."""
+    node's test, then its branch keys (naming the smallest bad one), and each
+    leaf's objects."""
     per_object: dict[int, Fraction] = {}
-    stack: list[tuple[int | None, int, DecisionTree, Fraction]] = [
-        (None, 0, tree, Fraction(0))
-    ]
+    stack: list[tuple[DecisionTree, Fraction]] = [(tree, Fraction(0))]
     while stack:
-        test, outcome, node, acc = stack.pop()
-        if test is not None:
-            if not 1 <= outcome <= inst.num_outcomes:
-                raise ValueError(
-                    f"tree references outcome {outcome} outside 1..{inst.num_outcomes}"
-                )
-            acc += inst.cost(test, outcome)
+        node, acc = stack.pop()
         if isinstance(node, Leaf):
             for s in node.objects:
                 if not 0 <= s < inst.num_objects:
@@ -169,8 +162,13 @@ def reference_evaluate(tree: DecisionTree, inst: Instance) -> CostReport:
             continue
         if not 0 <= node.test < inst.num_tests:
             raise ValueError(f"no such test: {node.test}")
+        bad = [i for i in node.children if i not in range(1, inst.num_outcomes + 1)]
+        if bad:
+            raise ValueError(
+                f"tree references outcome {min(bad)!r} outside 1..{inst.num_outcomes}"
+            )
         stack.extend(
-            (node.test, i, node.children[i], acc)
+            (node.children[i], acc + inst.cost(node.test, i))
             for i in sorted(node.children, reverse=True)
         )
     worst = max(per_object.values(), default=Fraction(0))

@@ -819,6 +819,25 @@ class TestOutcomeKeysOutsideTheAlphabet:
         # The valid tree hands over only the branch that test 0 prices at 5.
         assert find_replaceable(self.priced_tree(), inst, 3) == [(2,)]
 
+    def test_every_walk_applies_the_node_rule(self):
+        # A node's keys are checked before any branch below it is walked, and
+        # a text key is a ValueError named by its repr.
+        inst, fallback = self.PRICED, self.priced_tree()
+        unknown_test = Internal(9, fallback.children[1].children)
+        for tree, bad in (
+            (self.priced_tree(root_keys=("1", 2)), "'1'"),
+            (self.priced_tree(below_keys=(1, "2")), "'2'"),
+            (Internal(0, {1: unknown_test, 3: fallback}), "3"),
+        ):
+            for walk in (
+                lambda: evaluate(tree, inst),
+                lambda: find_replaceable(tree, inst, 100),
+                lambda: combine_trees(tree, fallback, 10, inst),
+            ):
+                with pytest.raises(ValueError) as error:
+                    walk()
+                assert str(error.value) == f"tree references outcome {bad} outside 1..2"
+
     @pytest.mark.parametrize("bad", [0, 3])
     def test_combine_trees_names_the_key(self, bad):
         inst, fallback = self.PRICED, self.priced_tree()

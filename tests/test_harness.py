@@ -207,6 +207,23 @@ class TestGenerator:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", None),
+            ("num_objects", 6.0),
+            ("num_tests", "4"),
+            ("num_classes", True),
+            ("num_outcomes", 2.5),
+        ],
+    )
+    def test_spec_int_fields_are_checked_first(self, key, value):
+        # Four classes cannot be populated by three objects: that check comes later.
+        spec = GeneratorSpec(num_objects=3, num_classes=4, num_tests=2)
+        with pytest.raises(ValueError) as error:
+            generate(dataclasses.replace(spec, **{key: value}))
+        assert str(error.value) == f"{key}: expected an integer, got {value!r}"
+
 
 class TestRationalText:
     def test_integers_render_bare(self):
@@ -597,6 +614,22 @@ class TestTreeFiles:
             read_tree(path)
         assert str(error.value) == f"{path}: children key {key!r} is not an outcome"
 
+    def test_a_node_reports_its_test_before_its_children(self, tmp_path):
+        path = tmp_path / "tree.json"
+        bad_child = {"01": {"leaf_class": 0, "objects": [0]}}
+        inner = {"test": None, "children": {"1": {"leaf_class": "0", "objects": [0]}}}
+        for doc, message in [
+            ({"test": "0", "children": bad_child}, "test: expected an integer, got '0'"),
+            (
+                {"test": 0, "children": {"1": inner}},
+                "children[1]: test: expected an integer, got None",
+            ),
+        ]:
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError) as error:
+                read_tree(path)
+            assert str(error.value) == f"{path}: {message}"
+
     def test_a_second_spelling_of_an_outcome_is_refused(self, tmp_path):
         # Read as 1, "01" would replace the subtree under "1", over an object
         # and a class the instance lacks, before anything checked it.
@@ -862,6 +895,31 @@ class TestExperimentConfig:
         assert draws == []
         run_experiment(ExperimentConfig(count=2, objects=(3, 5)))
         assert len(draws) == 2
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ExperimentConfig)])
+    def test_a_python_config_is_checked_as_a_file_is(self, tmp_path, monkeypatch, field):
+        # The same value in a file and in a config built in Python, a tuple
+        # standing for the file's list, is refused with the same text after
+        # the prefix before the first draw, or else reaches the first draw.
+        class Drawn(Exception):
+            pass
+
+        def draw(spec):
+            raise Drawn
+
+        monkeypatch.setattr("dfep.harness.experiment.generate", draw)
+        path = tmp_path / "config.json"
+        for value in (None, "3", 2.5, True, (1,), "no"):
+            path.write_text(json.dumps({field: value}))
+            loaded = result_or_error(load_config, path)
+            try:
+                run_experiment(ExperimentConfig(**{field: value}))
+            except ValueError as exc:
+                assert loaded == ("error", f"{path}: {str(exc).removeprefix('config: ')}")
+            except Drawn:
+                assert loaded[0] == "ok", loaded
+            else:
+                raise AssertionError(f"{field}={value!r} ran without a draw")
 
     def test_int_trade_offs_print_as_a_file_gives_them(self, tmp_path):
         # (1 + 1/2) * 2 on plain ints is the float 3.0, which the table would print.

@@ -8,10 +8,10 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from dfep.combine import combine_trees, combine_uniform
+from dfep.combine import combine_trees, combine_uniform, find_replaceable
 from dfep.greedy import divide_pairs
 from dfep.model import (
     _RATIONAL_TEXT,
@@ -718,6 +718,25 @@ class TestEvaluate:
         assert report_or_error(evaluate, tree, inst) == report_or_error(
             reference_evaluate, tree, inst
         )
+
+    # An unknown object is a fault of its own that the splice never reads, so
+    # trees with one are dropped, as are trees whose fallback costs nothing.
+    @settings(suppress_health_check=[HealthCheck.filter_too_much])
+    @given(splice_cases(), st.data())
+    def test_every_walk_names_the_same_node_fault(self, case, data):
+        # Under a threshold above every path cost, the splice copies each node
+        # in evaluate's order.
+        inst, _, low_expected, low_worst = case
+        tree = low_expected
+        for _ in range(data.draw(st.integers(1, 3))):
+            tree = with_fault(tree, inst, data)
+        worst = reference_evaluate(low_worst, inst).worst
+        assume(worst > 0 and tree_objects(tree) == tree_objects(low_worst))
+        error = result_or_error(evaluate, tree, inst)
+        assume(error[0] == "error")  # not when every fault is an object in two leaves
+        assert re.match("no such test|tree references outcome", error[1])
+        assert result_or_error(find_replaceable, tree, inst, 10**9) == error
+        assert result_or_error(combine_trees, tree, low_worst, 10**9 / worst, inst) == error
 
 
 def report_or_error(fn, tree, inst):
