@@ -29,19 +29,20 @@ from typing import Any, Callable, Iterator, NoReturn, Sequence
 
 from dfep.combine import _has_unit_prices, _splicer, _sweep
 from dfep.greedy import _lower_bound, _pairs_in, divide_pairs
-from dfep.harness.generate import COST_MODES, PRIOR_MODES, GeneratorSpec, generate
+from dfep.harness.generate import GeneratorSpec, _as_range, _check_draws, generate
 from dfep.harness.io import (
     Pathish,
     _dump_document,
     _expect_list,
     _expect_mapping,
     _load_document,
+    _write_text,
     format_rational,
     instance_to_doc,
     parse_rational,
     tree_to_doc,
 )
-from dfep.model import DecisionTree, Instance, _expect_int, _weighed, evaluate
+from dfep.model import DecisionTree, Instance, _expect_int, _expect_str, _weighed, evaluate
 from dfep.oracle import DP_OBJECT_LIMIT, OracleResult, _optima, harmonic
 
 __all__ = [
@@ -164,24 +165,6 @@ class ExperimentRow:
         return self.lower_bound <= self.opt_worst
 
 
-def _as_range(raw: Any, where: str) -> tuple[int, int]:
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return (raw, raw)
-    if (
-        isinstance(raw, list)
-        and len(raw) == 2
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in raw)
-    ):
-        return (raw[0], raw[1])
-    raise ValueError(f"{where}: expected an integer or a [low, high] pair, got {raw!r}")
-
-
-def _expect_str(raw: Any, where: str) -> str:
-    if not isinstance(raw, str):
-        raise ValueError(f"{where}: expected a string, got {raw!r}")
-    return raw
-
-
 def _expect_bool(raw: Any, where: str) -> bool:
     if not isinstance(raw, bool):
         raise ValueError(f"{where}: expected true or false")
@@ -218,9 +201,6 @@ _CONFIG_READERS = {
     "replay_path": _expect_str,
 }
 
-# The least low end of each range that every draw can be generated from.
-_RANGE_FLOORS = (("objects", 2), ("classes", 1), ("tests", 1), ("cost_range", 1))
-
 
 def load_config(path: Pathish) -> ExperimentConfig:
     """Read a batch description from a JSON file (unknown keys rejected).
@@ -245,40 +225,19 @@ def _check_config(config: ExperimentConfig, where: str) -> ExperimentConfig:
     config = ExperimentConfig(**fields)
     if config.count < 1:
         raise ValueError(f"{where}: count must be positive")
-    if config.cost_mode not in COST_MODES:
-        raise ValueError(f"{where}: unknown cost mode {config.cost_mode!r}")
-    if config.prior_mode not in PRIOR_MODES:
-        raise ValueError(f"{where}: unknown prior mode {config.prior_mode!r}")
-    for key, floor in _RANGE_FLOORS:
-        low, high = getattr(config, key)
-        if low > high:
-            raise ValueError(f"{where}: {key}: empty range [{low}, {high}]")
-        if low < floor:
-            raise ValueError(f"{where}: {key}: must be at least {floor}, got {low}")
-    if config.outcomes < 2:
-        raise ValueError(f"{where}: outcomes: must be at least 2, got {config.outcomes}")
     if any(r <= 0 for r in config.rho_grid):
         raise ValueError(f"{where}: rho_grid: trade-offs must be positive")
     if any(i < 1 for i in config.uniform_trade_offs):
         raise ValueError(f"{where}: uniform_trade_offs: expected a list of positive integers")
-    most_objects = config.objects[1]
-    if config.oracle_checks and most_objects > DP_OBJECT_LIMIT:
+    if config.oracle_checks and config.objects[1] > DP_OBJECT_LIMIT:
         raise ValueError(
-            f"{where}: configured object count up to {most_objects} exceeds oracle cap "
+            f"{where}: configured object count up to {config.objects[1]} exceeds oracle cap "
             f"({DP_OBJECT_LIMIT}); disable oracle_checks to generate larger instances"
         )
-    # The hardest draw pairs the fewest tests with the most objects; when more
-    # than one class can be drawn, its objects must all be told apart.
-    # outcomes ** most_objects.bit_length() > most_objects, so capping the
-    # exponent there keeps the comparison and never builds a huge power.
-    outcomes, fewest_tests = config.outcomes, config.tests[0]
-    reach = outcomes ** min(fewest_tests, most_objects.bit_length())
-    if config.classes[1] >= 2 and reach < most_objects:
-        raise ValueError(
-            f"{where}: {fewest_tests} tests with {outcomes} outcomes distinguish at "
-            f"most {reach} objects, but up to {most_objects} objects of more than "
-            "one class can be drawn; raise tests or lower objects"
-        )
+    _check_draws(
+        f"{where}: ", "", config.objects, config.classes, config.tests, config.outcomes,
+        config.cost_mode, config.cost_range, config.prior_mode,
+    )
     return config
 
 
@@ -438,11 +397,9 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     rows: list[ExperimentRow] = []
     for index in range(config.count):
         size = rng.randint(*config.objects)
-        class_low = min(config.classes[0], size)
-        class_high = min(config.classes[1], size)
         spec = GeneratorSpec(
             num_objects=size,
-            num_classes=rng.randint(class_low, class_high),
+            num_classes=rng.randint(min(config.classes[0], size), min(config.classes[1], size)),
             num_tests=rng.randint(*config.tests),
             num_outcomes=config.outcomes,
             cost_mode=config.cost_mode,
@@ -528,5 +485,4 @@ def write_table(rows: Sequence[ExperimentRow], path: str) -> None:
         base = [_text(value(row)) for _, value in _ROW_COLUMNS]
         tails = [[_text(value(o)) for _, value in _OUTCOME_COLUMNS] for o in row.trade_offs]
         lines.extend("\t".join(base + tail) for tail in tails or [no_outcome])
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_text("\n".join(lines) + "\n", path)

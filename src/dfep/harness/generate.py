@@ -12,8 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any
 
-from dfep.model import Instance, _expect_int, unseparated_pairs, validate_instance
+from dfep.model import Instance, _expect_int, _expect_str, unseparated_pairs, validate_instance
 
 __all__ = ["COST_MODES", "PRIOR_MODES", "GeneratorSpec", "generate"]
 
@@ -43,46 +44,83 @@ class GeneratorSpec:
     name: str | None = None
 
 
-def _check_spec(spec: GeneratorSpec) -> None:
-    for key in ("num_objects", "num_classes", "num_tests", "num_outcomes", "seed"):
-        _expect_int(getattr(spec, key), key)
-    if spec.num_objects < 2:
-        raise ValueError(f"need at least 2 objects, got {spec.num_objects}")
-    if spec.num_classes < 1:
-        raise ValueError(f"need at least 1 class, got {spec.num_classes}")
-    if spec.num_classes > spec.num_objects:
+def _as_range(raw: Any, where: str) -> tuple[int, int]:
+    pair = (raw, raw) if isinstance(raw, int) else raw
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in pair
+    ):
+        raise ValueError(f"{where}: expected an integer or a [low, high] pair, got {raw!r}")
+    return (pair[0], pair[1])
+
+
+def _check_draws(
+    where: str, size: str, objects: tuple[int, int], classes: tuple[int, int],
+    tests: tuple[int, int], outcomes: int, cost_mode: str, cost_range: tuple[int, int],
+    prior_mode: str,
+) -> None:
+    """The rules a spec and an experiment config share, on inclusive ranges (a
+    spec's sizes one-value ones), each text naming the field after ``where``:
+    a size field is ``size`` and its plain name, ``num_objects`` or ``objects``."""
+    for key, (low, high), floor in (
+        (f"{size}objects", objects, 2),
+        (f"{size}classes", classes, 1),
+        (f"{size}tests", tests, 1),
+        ("cost_range", cost_range, 1),
+    ):
+        if low > high:
+            raise ValueError(f"{where}{key}: empty range [{low}, {high}]")
+        if low < floor:
+            raise ValueError(f"{where}{key}: must be at least {floor}, got {low}")
+    if outcomes < 2:
+        raise ValueError(f"{where}{size}outcomes: must be at least 2, got {outcomes}")
+    if cost_mode not in COST_MODES:
+        raise ValueError(f"{where}cost_mode: unknown cost mode {cost_mode!r}")
+    if prior_mode not in PRIOR_MODES:
+        raise ValueError(f"{where}prior_mode: unknown prior mode {prior_mode!r}")
+    # The hardest draw: the most objects, of two classes, by the fewest tests.
+    # outcomes ** n.bit_length() > n, so the capped power keeps the comparison.
+    most_objects, fewest_tests = objects[1], tests[0]
+    reach = outcomes ** min(fewest_tests, most_objects.bit_length())
+    if classes[1] >= 2 and reach < most_objects:
         raise ValueError(
-            f"{spec.num_classes} classes cannot be populated by "
-            f"{spec.num_objects} objects"
+            f"{where}{fewest_tests} tests with {outcomes} outcomes distinguish at most "
+            f"{reach} objects, but up to {most_objects} objects of more than one class "
+            "can be drawn, so completeness is impossible; raise tests or lower objects"
         )
-    if spec.num_outcomes < 2:
-        raise ValueError(f"need at least 2 outcomes per test, got {spec.num_outcomes}")
-    if spec.num_tests < 1:
-        raise ValueError(f"need at least 1 test, got {spec.num_tests}")
-    if spec.cost_mode not in COST_MODES:
-        raise ValueError(
-            f"unknown cost mode {spec.cost_mode!r}; choose from {', '.join(COST_MODES)}"
-        )
-    if spec.prior_mode not in PRIOR_MODES:
-        raise ValueError(
-            f"unknown prior mode {spec.prior_mode!r}; choose from {', '.join(PRIOR_MODES)}"
-        )
-    low, high = spec.cost_range
-    if not 1 <= low <= high:
-        raise ValueError(
-            f"cost range must satisfy 1 <= low <= high, got ({low}, {high})"
-        )
-    if spec.num_classes > 1 and spec.num_outcomes ** spec.num_tests < spec.num_objects:
-        raise ValueError(
-            f"{spec.num_tests} tests with {spec.num_outcomes} outcomes "
-            f"distinguish at most {spec.num_outcomes ** spec.num_tests} objects; "
-            f"{spec.num_objects} requested — completeness is impossible"
-        )
+
+
+# One reader per GeneratorSpec field, in field order, as _CONFIG_READERS has.
+_SPEC_READERS = {
+    "num_objects": _expect_int,
+    "num_classes": _expect_int,
+    "num_tests": _expect_int,
+    "num_outcomes": _expect_int,
+    "cost_mode": _expect_str,
+    "cost_range": _as_range,
+    "prior_mode": _expect_str,
+    "seed": _expect_int,
+    "name": lambda raw, where: None if raw is None else _expect_str(raw, where),
+}
+
+
+def _check_spec(spec: GeneratorSpec) -> GeneratorSpec:
+    """Refuse a spec that cannot be drawn; return it rebuilt from its readers."""
+    spec = GeneratorSpec(
+        **{key: read(getattr(spec, key), key) for key, read in _SPEC_READERS.items()}
+    )
+    n, classes, tests = spec.num_objects, spec.num_classes, spec.num_tests
+    _check_draws(
+        "", "num_", (n, n), (classes, classes), (tests, tests),
+        spec.num_outcomes, spec.cost_mode, spec.cost_range, spec.prior_mode,
+    )
+    if classes > n:
+        raise ValueError(f"{classes} classes cannot be populated by {n} objects")
+    return spec
 
 
 def generate(spec: GeneratorSpec) -> Instance:
     """Draw the instance determined by the spec; always returns a valid one."""
-    _check_spec(spec)
+    spec = _check_spec(spec)
     rng = random.Random(spec.seed)
     n = spec.num_objects
 

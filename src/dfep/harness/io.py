@@ -25,6 +25,7 @@ from dfep.model import (
     Leaf,
     _RATIONAL_TEXT,  # noqa: F401  (the grammar parse_rational accepts)
     _expect_int,
+    _expect_str,
     _value_faults,
     as_fraction,
     tree_objects,
@@ -193,9 +194,7 @@ def read_instance(path: Pathish, *, validate: bool = True) -> Instance:
     num_outcomes = _expect_int(doc.get("num_outcomes"), f"{path}: num_outcomes")
     raw_objects = _expect_list(doc.get("objects"), f"{path}: objects")
     raw_tests = _expect_list(doc.get("tests"), f"{path}: tests")
-    name = doc.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ValueError(f"{path}: name: expected a string, got {name!r}")
+    name = None if (name := doc.get("name")) is None else _expect_str(name, f"{path}: name")
 
     # Entries in id order, set as each id passes the list's id rule.
     n, m = len(raw_objects), len(raw_tests)
@@ -378,5 +377,4 @@ def export_dot(tree: DecisionTree, inst: Instance, path: Pathish) -> None:
             cost = format_rational(inst.cost(node.test, outcome))
             stack.append((node.children[outcome], this, f"outcome={outcome}, cost={cost}"))
     lines.append("}")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_text("\n".join(lines) + "\n", path)

@@ -88,6 +88,12 @@ def _expect_int(raw: Any, where: str) -> int:
     return raw
 
 
+def _expect_str(raw: Any, where: str) -> str:
+    if not isinstance(raw, str):
+        raise ValueError(f"{where}: expected a string, got {raw!r}")
+    return raw
+
+
 @dataclass(frozen=True)
 class Instance:
     """A complete description of one identification problem.
@@ -391,7 +397,8 @@ def _check_node(node: Internal, inst: Instance, outcomes: frozenset[int]) -> Non
     then branch keys among ``outcomes``, the instance's ``1..k``."""
     _check_test(node.test, inst)
     if not node.children.keys() <= outcomes:
-        bad = min(node.children.keys() - outcomes)
+        # By type name first: keys of two types, such as 1 and "2", need not compare.
+        bad = min(node.children.keys() - outcomes, key=lambda i: (type(i).__name__, i))
         raise ValueError(f"tree references outcome {bad!r} outside 1..{inst.num_outcomes}")
 
 

@@ -148,8 +148,8 @@ def path_costs_by_walking(tree: DecisionTree, inst: Instance) -> dict[int, Fract
 
 def reference_evaluate(tree: DecisionTree, inst: Instance) -> CostReport:
     """Path costs summed in ``Fraction``s on an explicit stack, checking each
-    node's test, then its branch keys (naming the smallest bad one), and each
-    leaf's objects."""
+    node's test, then its branch keys (naming the smallest bad one of the
+    first type by name), and each leaf's objects."""
     per_object: dict[int, Fraction] = {}
     stack: list[tuple[DecisionTree, Fraction]] = [(tree, Fraction(0))]
     while stack:
@@ -165,7 +165,8 @@ def reference_evaluate(tree: DecisionTree, inst: Instance) -> CostReport:
         bad = [i for i in node.children if i not in range(1, inst.num_outcomes + 1)]
         if bad:
             raise ValueError(
-                f"tree references outcome {min(bad)!r} outside 1..{inst.num_outcomes}"
+                f"tree references outcome {min(bad, key=lambda i: (type(i).__name__, i))!r} "
+                f"outside 1..{inst.num_outcomes}"
             )
         stack.extend(
             (node.children[i], acc + inst.cost(node.test, i))

@@ -838,6 +838,27 @@ class TestOutcomeKeysOutsideTheAlphabet:
                     walk()
                 assert str(error.value) == f"tree references outcome {bad} outside 1..2"
 
+    def test_bad_keys_of_two_types_are_named_without_a_type_error(self):
+        # Keys of two types need not compare: the first type by name is
+        # named, and among keys of one type the smallest, as before.
+        inst, fallback = self.PRICED, self.priced_tree()
+        for root_keys, below_keys, bad in (
+            (("1", 7), (1, 2), "7"),
+            ((1, 2), (9, "0"), "9"),
+            (("2", "0"), (1, 2), "'0'"),
+            ((1, 2), (9, 0), "0"),
+        ):
+            tree = self.priced_tree(root_keys, below_keys)
+            for walk in (
+                lambda: evaluate(tree, inst),
+                lambda: reference_evaluate(tree, inst),
+                lambda: find_replaceable(tree, inst, 100),
+                lambda: combine_trees(tree, fallback, 10, inst),
+            ):
+                with pytest.raises(ValueError) as error:
+                    walk()
+                assert str(error.value) == f"tree references outcome {bad} outside 1..2"
+
     @pytest.mark.parametrize("bad", [0, 3])
     def test_combine_trees_names_the_key(self, bad):
         inst, fallback = self.PRICED, self.priced_tree()

@@ -4,8 +4,10 @@ import contextlib
 import dataclasses
 import gc
 import hashlib
+import importlib
 import io
 import json
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +26,13 @@ from dfep.harness.experiment import (
 )
 from dfep.combine import combine_trees, combine_uniform
 from dfep.harness.cli import _emit_json, _emit_tree, build_parser, main
-from dfep.harness.generate import COST_MODES, PRIOR_MODES, GeneratorSpec, generate
+from dfep.harness.generate import (
+    _SPEC_READERS,
+    COST_MODES,
+    PRIOR_MODES,
+    GeneratorSpec,
+    generate,
+)
 from dfep.harness.io import (
     MAX_TREE_DEPTH,
     _RATIONAL_TEXT,
@@ -188,7 +196,7 @@ class TestGenerator:
             generate(GeneratorSpec(num_objects=5, num_classes=5, num_tests=2))
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError, match="at least 2 objects"):
+        with pytest.raises(ValueError, match="num_objects: must be at least 2"):
             generate(GeneratorSpec(num_objects=1, num_classes=1, num_tests=1))
         with pytest.raises(ValueError, match="cannot be populated"):
             generate(GeneratorSpec(num_objects=3, num_classes=4, num_tests=2))
@@ -200,7 +208,7 @@ class TestGenerator:
             generate(
                 GeneratorSpec(num_objects=3, num_classes=2, num_tests=2, prior_mode="zipf")
             )
-        with pytest.raises(ValueError, match="cost range"):
+        with pytest.raises(ValueError, match="cost_range: empty range"):
             generate(
                 GeneratorSpec(
                     num_objects=3, num_classes=2, num_tests=2, cost_range=(5, 2)
@@ -223,6 +231,104 @@ class TestGenerator:
         with pytest.raises(ValueError) as error:
             generate(dataclasses.replace(spec, **{key: value}))
         assert str(error.value) == f"{key}: expected an integer, got {value!r}"
+
+
+class Drawn(Exception):
+    """Raised in place of a draw, by a patched random number generator."""
+
+
+def fail_the_draw(monkeypatch) -> None:
+    def draw(seed):
+        raise Drawn
+
+    # The package's ``generate`` is the function, so the module is looked up.
+    module = importlib.import_module("dfep.harness.generate")
+    monkeypatch.setattr(module, "random", types.SimpleNamespace(Random=draw))
+
+
+class TestGeneratorSpecChecks:
+    SPEC = GeneratorSpec(num_objects=4, num_classes=2, num_tests=3)
+
+    def test_every_spec_field_has_a_reader(self):
+        assert list(_SPEC_READERS) == [field.name for field in dataclasses.fields(GeneratorSpec)]
+
+    def test_each_value_is_refused_by_its_field_or_reaches_the_draw(self, monkeypatch):
+        fail_the_draw(monkeypatch)
+        drawn = []
+        for field in _SPEC_READERS:
+            for value in (None, "3", 2.5, True, (1,), "no"):
+                try:
+                    generate(dataclasses.replace(self.SPEC, **{field: value}))
+                except ValueError as exc:
+                    assert str(exc).startswith(f"{field}: "), (field, value, str(exc))
+                except Drawn:
+                    drawn.append((field, value))
+                else:
+                    raise AssertionError(f"{field}={value!r} ran without a draw")
+        assert drawn == [("name", None), ("name", "3"), ("name", "no")]
+
+    RANGE_TEXT = "cost_range: expected an integer or a [low, high] pair, got"
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("cost_range", (1.5, 3), f"{RANGE_TEXT} (1.5, 3)"),
+            ("cost_range", (1,), f"{RANGE_TEXT} (1,)"),
+            ("cost_range", ("1", 3), f"{RANGE_TEXT} ('1', 3)"),
+            ("cost_range", (True, 3), f"{RANGE_TEXT} (True, 3)"),
+            ("name", 5, "name: expected a string, got 5"),
+        ],
+    )
+    def test_bad_values_are_refused_before_any_draw(self, monkeypatch, field, value, message):
+        fail_the_draw(monkeypatch)
+        spec = dataclasses.replace(self.SPEC, cost_mode="fixed-random", seed=1)
+        with pytest.raises(ValueError) as error:
+            generate(dataclasses.replace(spec, **{field: value}))
+        assert str(error.value) == message
+
+    def test_a_range_reads_as_its_pair(self):
+        instances = {
+            generate(dataclasses.replace(self.SPEC, cost_mode="fixed-random", cost_range=r))
+            for r in ((3, 3), [3, 3], 3)
+        }
+        assert len(instances) == 1
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"num_objects": 1, "num_classes": 1}, "num_objects: must be at least 2, got 1"),
+            ({"num_classes": 0}, "num_classes: must be at least 1, got 0"),
+            ({"num_tests": 0}, "num_tests: must be at least 1, got 0"),
+            ({"num_outcomes": 1}, "num_outcomes: must be at least 2, got 1"),
+            ({"cost_range": (5, 2)}, "cost_range: empty range [5, 2]"),
+            ({"cost_range": (0, 3)}, "cost_range: must be at least 1, got 0"),
+            ({"cost_mode": "free"}, "cost_mode: unknown cost mode 'free'"),
+            ({"prior_mode": "zipf"}, "prior_mode: unknown prior mode 'zipf'"),
+            (
+                {"num_objects": 5, "num_tests": 2},
+                "2 tests with 2 outcomes distinguish at most 4 objects, but up to 5 objects "
+                "of more than one class can be drawn, so completeness is impossible; "
+                "raise tests or lower objects",
+            ),
+        ],
+    )
+    def test_a_spec_and_its_one_value_config_share_each_rule(self, fields, message):
+        spec = dataclasses.replace(self.SPEC, **fields)
+        config = ExperimentConfig(
+            objects=(spec.num_objects,) * 2,
+            classes=(spec.num_classes,) * 2,
+            tests=(spec.num_tests,) * 2,
+            outcomes=spec.num_outcomes,
+            cost_mode=spec.cost_mode,
+            cost_range=spec.cost_range,
+            prior_mode=spec.prior_mode,
+        )
+        with pytest.raises(ValueError) as from_spec:
+            generate(spec)
+        with pytest.raises(ValueError) as from_config:
+            run_experiment(config)
+        assert str(from_spec.value) == message
+        assert str(from_config.value) == f"config: {message.removeprefix('num_')}"
 
 
 class TestRationalText:
@@ -270,6 +376,17 @@ class TestRationalText:
 
 
 class TestInstanceFiles:
+    def test_name_must_be_a_string(self, tmp_path):
+        doc = instance_to_doc(two_object_instance())
+        path = tmp_path / "inst.json"
+        for name in (5, None, ["a"]):
+            path.write_text(json.dumps({**doc, "name": name}))
+            got = result_or_error(read_instance, path)
+            if name is None:
+                assert got[0] == "ok" and got[1].name is None
+            else:
+                assert got == ("error", f"{path}: name: expected a string, got {name!r}")
+
     def test_round_trip_is_identity(self, tmp_path):
         inst = generate(
             GeneratorSpec(
@@ -901,9 +1018,6 @@ class TestExperimentConfig:
         # The same value in a file and in a config built in Python, a tuple
         # standing for the file's list, is refused with the same text after
         # the prefix before the first draw, or else reaches the first draw.
-        class Drawn(Exception):
-            pass
-
         def draw(spec):
             raise Drawn
 
@@ -1289,6 +1403,15 @@ class TestCommandLine:
         second = run_cli(*argv, "-o", "two.json", cwd=tmp_path)
         assert first.returncode == second.returncode == 0
         assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
+
+    def test_bad_cost_range_exits_one_naming_the_field(self, tmp_path):
+        run = run_cli(
+            "gen", "--objects", "4", "--classes", "2", "--tests", "3", "--cost-range", "0", "3",
+            cwd=tmp_path,
+        )
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr == "error: cost_range: must be at least 1, got 0\n"
 
     def test_infeasible_experiment_config_exits_one_before_running(self, tmp_path):
         (tmp_path / "config.json").write_text(
