@@ -21,6 +21,17 @@ Both, and the experiment runner, splice through ``_splicer``, which prices
 the fallback and compares the two trees' object sets once for any number of
 thresholds.  Each splice also returns its objects' path costs, recorded by
 the walk that builds it, so no result is walked again to be ranked or priced.
+
+The walk that prices the fallback also checks one rule: every leaf is
+nonempty and carries the one class of its objects, every internal node has
+two branches or more and holds two classes or more, and each object answers
+every branch on the path to its leaf.  Every tree the greedy, the oracle or
+a splice builds keeps it.  A hand-over then routes the survivors down the
+fallback only as far as the first node that all of its own objects reach,
+and puts that node in as it is: results share subtrees with the fallback,
+so neither tree may be mutated while a result is in use.  A fallback that
+breaks the rule is restricted node by node.  A splice refuses a copied leaf,
+or a hand-over, whose objects do not all take its path.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ from dfep.model import (
     Leaf,
     RationalLike,
     _check_node,
-    _price,
+    _price_nodes,
     _restrict,
     _weighed,
     as_fraction,
@@ -66,7 +77,7 @@ def subtree_at(tree: DecisionTree, path: Sequence[int]) -> DecisionTree:
 
 
 def _splice(
-    tree: DecisionTree, threshold: Fraction, inst: Instance, hand_over: Callable[..., DecisionTree]
+    tree: DecisionTree, threshold: Fraction, inst: Instance, hand_over: Callable[..., tuple]
 ) -> tuple[DecisionTree, dict[int, int], list[tuple[int, ...]]]:
     """Copy ``tree``, putting ``hand_over(node, path_cost, costs)`` in place
     of each node where the walk crosses ``threshold``; nodes are visited in
@@ -78,40 +89,59 @@ def _splice(
     it has not but even the cheapest onward branch would strictly overshoot
     it — the last moment a hand-over can happen at-or-under the threshold.
     A copied leaf's objects go into ``costs`` at its path cost, and
-    ``hand_over`` puts in those of its result, counted from ``path_cost``.
+    ``hand_over`` returns the subtree to put in and the objects it places,
+    whose costs, counted from ``path_cost``, it has put in ``costs``.  The
+    objects of a copied leaf and those of a hand-over must take its path,
+    answering every branch on it.  The first that do not are refused once
+    the walk is done, so that a node the walk cannot take is named first.
     """
-    prices = inst.kernel.costs
+    kernel = inst.kernel
+    prices, answers = kernel.costs, kernel.outcome_masks
     outcomes = frozenset(range(1, inst.num_outcomes + 1))
     # Path costs are integers times ``scale``, so a path reaches the
     # threshold p/q where ``path * q >= p * scale``.
-    q, bar = threshold.denominator, threshold.numerator * inst.kernel.scale
+    q, bar = threshold.denominator, threshold.numerator * kernel.scale
     costs: dict[int, int] = {}
     frontier: list[tuple[int, ...]] = []
-    # Each entry copies ``node`` into ``slot[key]``.
+    # The first objects placed at a path they do not take, with its mask and the path.
+    stray: tuple | None = None
+    # Each entry copies ``node`` into ``slot[key]``; ``mask`` holds the
+    # objects that take ``path``, that is, answer every branch on it.
     root: dict[int, DecisionTree] = {}
-    stack = [(tree, 0, (), root, 0)]
+    stack = [(tree, 0, (), (1 << inst.num_objects) - 1, root, 0)]
     while stack:
-        node, path_cost, path, slot, key = stack.pop()
-        if path_cost * q < bar:
-            if isinstance(node, Leaf):
-                slot[key] = node
-                costs.update(dict.fromkeys(node.objects, path_cost))
-                continue
-            _check_node(node, inst, outcomes)
-            row = prices[node.test]
-            if node.children and (path_cost + min(row[i - 1] for i in node.children)) * q <= bar:
-                children: dict = dict.fromkeys(sorted(node.children))
-                slot[key] = Internal(test=node.test, children=children)
-                stack.extend(
-                    (node.children[i], path_cost + row[i - 1], path + (i,), children, i)
-                    for i in reversed(children)
-                )
-                continue
-        # A node with no branches cannot be copied, and handed over it holds no objects.
-        if isinstance(node, Internal) and not node.children:
-            raise ValueError(f"invalid tree: test {node.test} has no branches")
-        frontier.append(path)
-        slot[key] = hand_over(node, path_cost, costs)
+        node, path_cost, path, mask, slot, key = stack.pop()
+        if path_cost * q < bar and isinstance(node, Leaf):
+            slot[key] = node
+            placed = node.objects
+            costs.update(dict.fromkeys(placed, path_cost))
+        else:
+            if path_cost * q < bar:
+                _check_node(node, inst, outcomes)
+                row, split, below = prices[node.test], answers[node.test], node.children
+                if below and (path_cost + min(row[i - 1] for i in below)) * q <= bar:
+                    children: dict = dict.fromkeys(sorted(below))
+                    slot[key] = Internal(test=node.test, children=children)
+                    stack.extend(
+                        (below[i], path_cost + row[i - 1], path + (i,), mask & split[i - 1],
+                         children, i)
+                        for i in reversed(children)
+                    )
+                    continue
+            # A node with no branches cannot be copied, and handed over it holds no objects.
+            if isinstance(node, Internal) and not node.children:
+                raise ValueError(f"invalid tree: test {node.test} has no branches")
+            frontier.append(path)
+            slot[key], placed = hand_over(node, path_cost, costs)
+        if stray is None:
+            for s in placed:
+                if s < 0 or not mask >> s & 1:
+                    stray = placed, mask, path
+                    break
+    if stray:
+        placed, mask, path = stray
+        wrong = sorted(s for s in placed if s < 0 or not mask >> s & 1)
+        raise ValueError(f"invalid tree: objects {wrong} lie at path {path} but do not take it")
     return root[0], costs, frontier
 
 
@@ -125,9 +155,10 @@ def find_replaceable(
     path cost is 0).  Returned paths are in pre-order, ascending by outcome,
     and form an antichain: no returned node lies below another, and every
     leaf whose path cost reaches the threshold has exactly one returned
-    ancestor-or-self.
+    ancestor-or-self.  A leaf above the frontier whose objects do not all
+    take its path is refused; nodes on the frontier are not walked.
     """
-    return _splice(tree, as_fraction(threshold), inst, lambda node, *_: node)[2]
+    return _splice(tree, as_fraction(threshold), inst, lambda node, *_: (node, ()))[2]
 
 
 def combine_trees(
@@ -162,14 +193,17 @@ def _splicer(
 ) -> tuple[int, Callable[[Fraction], tuple]]:
     """The fallback's worst-case cost times ``inst.kernel.scale``, and the
     splice of the two trees at a given threshold, after the object-set check."""
-    fallback_costs = _price(worst_case_tree, inst)[0]
+    # One walk prices the fallback and, if it keeps the sharing rule, indexes its nodes.
+    shared = _price_nodes(worst_case_tree, inst)
+    fallback_costs = shared[0]
     reference = max(fallback_costs.values(), default=0)
     if tree_objects(expected_tree) != fallback_costs.keys():
         raise ValueError("the two trees cover different object sets")
 
-    def fallback(node: DecisionTree, base: int, costs: dict[int, int]) -> DecisionTree:
+    def fallback(node: DecisionTree, base: int, costs: dict[int, int]) -> tuple:
         # ``node`` holds some of the fallback's objects: restrict_tree's checks hold.
-        return _restrict(worst_case_tree, tree_objects(node), inst, base, costs)
+        survivors = tree_objects(node)
+        return _restrict(worst_case_tree, survivors, inst, base, costs, shared), survivors
 
     return reference, lambda threshold: _splice(expected_tree, threshold, inst, fallback)
 

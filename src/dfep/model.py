@@ -336,7 +336,9 @@ class Internal:
 
     ``children`` maps outcome values to subtrees; only outcomes with a
     nonempty bucket appear, and a valid node has at least two of them.  The
-    mapping is treated as immutable after construction.
+    mapping is treated as immutable after construction: a splice may put
+    the fallback tree's own nodes, and so their ``children`` mappings, in
+    its result, so never mutate one.
     """
 
     test: int
@@ -707,22 +709,118 @@ def restrict_tree(tree: DecisionTree, keep: Iterable[int], inst: Instance) -> De
     if not wanted <= root_objects:
         missing = sorted(wanted - root_objects)
         raise ValueError(f"objects {missing} are not in the tree")
-    return _restrict(tree, _check_objects(wanted, inst), inst, 0, {})
+    return _restrict(tree, _check_objects(wanted, inst), inst, 0, {}, ({}, {}))
+
+
+# No node of a tree holds -1 objects.
+_UNSHARED = (-1, 0)
+# The class of a node that holds two classes or more.
+_MIXED = object()
+
+
+def _price_nodes(
+    tree: DecisionTree, inst: Instance
+) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
+    """:func:`_price`'s path costs, with its checks and its errors in its
+    order, and, if the tree keeps the sharing rule, each node's object count
+    and path cost times ``scale`` by ``id``; else no nodes.
+
+    The rule: every leaf is nonempty and carries the one class of its
+    objects, every internal node has two branches or more and holds two
+    classes or more, and each object answers every branch on the path to
+    its leaf.  Then each branch holds exactly the objects of its node that
+    answer it, so :func:`_restrict` rebuilds a node that all of its objects
+    reach as an equal copy, and may put in the node itself.  ``_price``
+    stays its own walk: ``evaluate`` and the greedy's bound price trees
+    that are never restricted.
+    """
+    kernel, n = inst.kernel, inst.num_objects
+    prices, answers = kernel.costs, kernel.outcome_masks
+    outcomes = frozenset(range(1, inst.num_outcomes + 1))
+    labels = dict(zip(sorted(set(inst.classes)), kernel.class_masks))
+    out: dict[int, int] = {}
+    nodes: dict[int, tuple[int, int]] = {}
+    # Internal nodes in pre-order as [parent position, node, path cost, object
+    # count, class], after an entry for the root's parent.  The class is the
+    # label of the leaves seen below, or _MIXED once two differ or an internal
+    # child, which must hold two classes itself, is seen.
+    internal: list[list] = [[0, None, 0, 0, None]]
+    keeps = True
+    # As in _price, with the objects that answer every branch on the path and
+    # the parent's position in ``internal``.
+    stack: list[tuple[DecisionTree, int, int, int]] = [(tree, 0, (1 << n) - 1, 0)]
+    while stack:
+        node, acc, path, up = stack.pop()
+        if isinstance(node, Leaf):
+            objects = node.objects
+            for s in objects:
+                if not 0 <= s < n:
+                    raise ValueError(f"tree references unknown object {s}")
+                out[s] = acc
+            if keeps:
+                label = node.class_id
+                try:
+                    mask = objects_mask(objects)
+                    keeps = mask > 0 and not mask & ~(path & labels.get(label, 0))
+                except TypeError:  # an id or a label that is not an int
+                    keeps = False
+                nodes[id(node)] = (len(objects), acc)
+                parent = internal[up]
+                parent[3] += len(objects)
+                parent[4] = label if parent[4] is None or parent[4] == label else _MIXED
+            continue
+        _check_node(node, inst, outcomes)
+        row, split, children = prices[node.test], answers[node.test], node.children
+        if keeps:
+            keeps = len(children) >= 2
+            internal[up][4] = _MIXED
+            internal.append([up, node, acc, 0, None])
+        position = len(internal) - 1
+        stack.extend(
+            (children[i], acc + row[i - 1], path & split[i - 1], position)
+            for i in sorted(children, reverse=True)
+        )
+    if not keeps:
+        return out, {}
+    # Children before parents: each node's count goes to its parent's.
+    for up, node, acc, count, label in reversed(internal[1:]):
+        if label is not _MIXED:
+            return out, {}
+        nodes[id(node)] = (count, acc)
+        internal[up][3] += count
+    return out, nodes
 
 
 def _restrict(
-    tree: DecisionTree, survivors: frozenset[int], inst: Instance, base: int, out: dict[int, int]
+    tree: DecisionTree,
+    survivors: frozenset[int],
+    inst: Instance,
+    base: int,
+    out: dict[int, int],
+    shared: tuple[Mapping[int, int], Mapping[int, tuple[int, int]]],
 ) -> DecisionTree:
     """:func:`restrict_tree` after its checks.  Objects of two classes that
     reach a leaf, or an outcome they take that has no branch, raise.  Puts
-    each survivor's path cost times ``scale``, plus ``base``, in ``out``."""
+    each survivor's path cost times ``scale``, plus ``base``, in ``out``.
+
+    ``shared`` is :func:`_price_nodes` of ``tree``, its path costs and its
+    nodes.  A node reached by as many objects as it holds is put in as it
+    is, its objects priced from the tree's path costs: the rule that indexed
+    nodes keep makes it the tree the walk would rebuild.  Pass two empty
+    mappings to rebuild every node."""
     classes, rows, num_tests = inst.classes, inst.outcome_table, inst.num_tests
     prices = inst.kernel.costs
+    priced, nodes = shared
     # Each entry routes ``alive`` down ``node``, at path cost ``cost``, into ``slot[key]``.
     root: dict[int, DecisionTree] = {}
     stack = [(tree, survivors, base, root, 0)]
     while stack:
         node, alive, cost, slot, key = stack.pop()
+        count, at = nodes.get(id(node), _UNSHARED)
+        if count == len(alive):
+            slot[key] = node
+            out.update({s: priced[s] + cost - at for s in alive})
+            continue
         labels = {classes[s] for s in alive}
         if len(labels) == 1:
             slot[key] = Leaf(class_id=labels.pop(), objects=alive)

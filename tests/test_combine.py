@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -19,12 +21,15 @@ from dfep.combine import (
     subtree_at,
 )
 from dfep.greedy import divide_pairs
-from dfep.harness.experiment import ExperimentConfig, _trade_offs
+from dfep.harness import experiment
+from dfep.harness.experiment import ExperimentConfig, _trade_offs, run_experiment
 from dfep.model import (
+    DecisionTree,
     Instance,
     Internal,
     Leaf,
     _price,
+    _price_nodes,
     evaluate,
     restrict_tree,
     tree_objects,
@@ -874,3 +879,215 @@ class TestOutcomeKeysOutsideTheAlphabet:
             with pytest.raises(ValueError) as error:
                 combine_uniform(tree, fallback, 2, inst)
             assert str(error.value) == f"tree references outcome {bad} outside 1..2"
+
+
+def leaf(label: int, *objects: int) -> Leaf:
+    return Leaf(label, frozenset(objects))
+
+
+def tree_nodes(tree: DecisionTree) -> list[DecisionTree]:
+    """Every node of a tree, in no particular order."""
+    nodes, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if isinstance(node, Internal):
+            stack.extend(node.children.values())
+    return nodes
+
+
+def unshared_splices(expected_tree, fallback, inst):
+    """``_splicer``'s splices with no fallback node indexed, so that every
+    hand-over rebuilds its restriction node by node, as before sharing."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(combine, "_price_nodes", lambda tree, inst: (_price(tree, inst)[0], {}))
+        return _splicer(expected_tree, fallback, inst)[1]
+
+
+class TestSharedFallbackNodes:
+    """A hand-over puts in each fallback node that all its objects reach as
+    it is, when the fallback keeps the sharing rule; otherwise it restricts
+    node by node as before, with the same trees and the same errors."""
+
+    # Classes 0, 0, 1, 1; test 0 splits the classes, and tests 1 and 2 split
+    # each class; every price is 1.
+    INST = Instance.create([0, 0, 1, 1], [[1, 1, 2, 2], [1, 2, 1, 2], [1, 2, 2, 1]])
+    EXPECTED = Internal(
+        1,
+        {
+            1: Internal(0, {1: leaf(0, 0), 2: leaf(1, 2)}),
+            2: Internal(0, {1: leaf(0, 1), 2: leaf(1, 3)}),
+        },
+    )
+    # Fallbacks that break the rule, each valid in every other way.
+    BROKEN = {
+        # A valid tree, but test 1 splits two objects of class 0.
+        "one class": Internal(
+            0, {1: Internal(1, {1: leaf(0, 0), 2: leaf(0, 1)}), 2: leaf(1, 2, 3)}
+        ),
+        "wrong label": Internal(0, {1: leaf(1, 0, 1), 2: leaf(1, 2, 3)}),
+        # Object 1 answers test 0 with 1, but sits below its branch 2.
+        "other outcome": Internal(
+            0,
+            {
+                1: leaf(0, 0),
+                2: Internal(1, {1: leaf(1, 2), 2: Internal(2, {1: leaf(1, 3), 2: leaf(0, 1)})}),
+            },
+        ),
+        "two leaves": Internal(
+            0, {1: leaf(0, 0, 1), 2: Internal(1, {1: leaf(1, 2), 2: leaf(1, 2, 3)})}
+        ),
+    }
+
+    @settings(max_examples=200)
+    @given(splice_cases(), st.data())
+    def test_splices_of_built_trees(self, case, data):
+        inst, members, low_expected, low_worst = case
+        # Trees from the greedy and the exact solvers keep the rule.
+        assert _price_nodes(low_worst, inst)[1]
+        reference = evaluate(low_worst, inst).worst
+        ratios = data.draw(
+            st.lists(st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)), min_size=1)
+        )
+        _, splice = _splicer(low_expected, low_worst, inst)
+        unshared = unshared_splices(low_expected, low_worst, inst)
+        for ratio in ratios:
+            tree, costs, frontier = splice(ratio * reference)
+            assert (tree, costs, frontier) == unshared(ratio * reference)
+            assert tree == reference_combine_trees(low_expected, low_worst, ratio, inst)
+            assert costs == _price(tree, inst)[0]
+            # So do splices, which may be fallbacks in turn.
+            assert _price_nodes(tree, inst)[1]
+
+    @pytest.mark.parametrize("name", sorted(BROKEN))
+    def test_fallbacks_outside_the_rule_restrict_as_before(self, name):
+        inst, fallback = self.INST, self.BROKEN[name]
+        _, splice = _splicer(self.EXPECTED, fallback, inst)
+        unshared = unshared_splices(self.EXPECTED, fallback, inst)
+        for threshold in range(4):
+            assert result_or_error(splice, Fraction(threshold)) == result_or_error(
+                unshared, Fraction(threshold)
+            )
+            tree, costs, _ = splice(Fraction(threshold))
+            assert costs == _price(tree, inst)[0]
+            assert validate_tree(tree, inst.objects, inst) == []
+            if name in ("one class", "wrong label"):
+                # The recursive reference routes by leaf sets, which these keep.
+                ratio = Fraction(threshold) / evaluate(fallback, inst).worst
+                if ratio:
+                    assert tree == reference_combine_trees(self.EXPECTED, fallback, ratio, inst)
+        assert _price_nodes(fallback, inst) == (_price(fallback, inst)[0], {})
+
+    def test_errors_of_fallbacks_outside_the_rule_are_unchanged(self):
+        # The texts are those of the walk that rebuilds every node.
+        inst = TestMalformedFallback.INST
+        expected = TestMalformedFallback.EXPECTED
+        for fallback, text in (
+            (TestMalformedFallback.MIXED, TestMalformedFallback.MIXED_ERROR),
+            (TestMalformedFallback.MISSING, TestMalformedFallback.MISSING_ERROR),
+        ):
+            assert _price_nodes(fallback, inst)[1] == {}
+            _, splice = _splicer(expected, fallback, inst)
+            unshared = unshared_splices(expected, fallback, inst)
+            for threshold in (Fraction(1, 4), Fraction(1), Fraction(2)):
+                assert result_or_error(splice, threshold) == result_or_error(unshared, threshold)
+            assert result_or_error(splice, Fraction(1, 4)) == ("error", text)
+
+    def test_pricing_errors_are_those_of_price(self):
+        keys = TestOutcomeKeysOutsideTheAlphabet
+        inst, good = keys.PRICED, keys.priced_tree()
+        for tree in (
+            keys.priced_tree(root_keys=(1, 3)),
+            keys.priced_tree(below_keys=("1", 0)),
+            Internal(7, good.children),
+            Internal(0, {1: good.children[1], 2: leaf(2, 2, 9)}),
+            Internal(0, {1: leaf(0, -1), 2: good.children[2]}),
+        ):
+            assert result_or_error(lambda: _price_nodes(tree, inst)[0]) == result_or_error(
+                lambda: _price(tree, inst)[0]
+            )
+            assert result_or_error(lambda: _price(tree, inst))[0] == "error"
+
+    def test_a_splice_shares_fallback_nodes_and_mutates_neither_input(self):
+        inst = random_complete_instance(
+            random.Random(1406), num_objects=200, num_tests=12, num_outcomes=3, cost_mode="value"
+        )
+        # The same tests at unit prices, for the sweep.
+        unit = dataclasses.replace(
+            inst, cost_table=tuple((Fraction(1),) * inst.num_outcomes for _ in inst.tests)
+        )
+        everything = frozenset(inst.objects)
+        greedy = divide_pairs(everything, inst)
+        twin = divide_pairs(everything, inst, include_empty_outcomes=False)
+        assert greedy != twin
+        for expected_tree, fallback in ((greedy, greedy), (greedy, twin)):
+            before = copy.deepcopy((expected_tree, fallback))
+            fallback_nodes = {id(node) for node in tree_nodes(fallback)}
+            reference, splice = _splicer(expected_tree, fallback, inst)
+            threshold = Fraction(reference, 2 * inst.kernel.scale)
+            tree, _, frontier = splice(threshold)
+            assert frontier
+            assert any(id(subtree_at(tree, path)) in fallback_nodes for path in frontier)
+            for ratio in (Fraction(1, 4), Fraction(1, 2), 1, 2, 4):
+                combine_trees(expected_tree, fallback, ratio, inst)
+            worst = int(evaluate(fallback, unit).worst)
+            for numerator in (worst, 2 * worst):
+                combine_uniform(expected_tree, fallback, numerator, unit)
+            assert (expected_tree, fallback) == before
+
+    def test_an_experiment_mutates_none_of_its_trees(self, monkeypatch, tmp_path):
+        seen = []
+        splicer = combine._splicer
+
+        def copied(expected_tree, fallback, inst):
+            seen.append(((expected_tree, fallback), copy.deepcopy((expected_tree, fallback))))
+            return splicer(expected_tree, fallback, inst)
+
+        monkeypatch.setattr(experiment, "_splicer", copied)
+        config = ExperimentConfig(
+            seed=1406,
+            count=6,
+            objects=(6, 9),
+            tests=(4, 6),
+            replay_path=str(tmp_path / "replay.json"),
+        )
+        run_experiment(config)
+        assert len(seen) == 6
+        for trees, before in seen:
+            assert trees == before
+
+
+class TestObjectsOffTheirPath:
+    # The expected tree puts objects 1 and 2 on path (2, 1), but object 2
+    # answers test 1 with 2; the fallback is valid.
+    INST = Instance.create([0, 1, 1], [[1, 2, 2], [1, 1, 2]])
+    EXPECTED = Internal(
+        0, {1: leaf(0, 0), 2: Internal(1, {1: leaf(1, 1, 2), 2: leaf(1, 2)})}
+    )
+    FALLBACK = Internal(0, {1: leaf(0, 0), 2: leaf(1, 1, 2)})
+    ERROR = "invalid tree: objects [2] lie at path (2, 1) but do not take it"
+
+    def test_a_copied_leaf_is_refused(self):
+        # At trade-off 10 the whole expected tree is copied.
+        inst = self.INST
+        for call in (
+            lambda: combine_trees(self.EXPECTED, self.FALLBACK, 10, inst),
+            lambda: combine_uniform(self.EXPECTED, self.FALLBACK, 3, inst),
+            lambda: find_replaceable(self.EXPECTED, inst, 10),
+        ):
+            assert result_or_error(call) == ("error", self.ERROR)
+
+    def test_a_hand_over_is_refused(self):
+        # At trade-off 2 both leaves below test 1 are handed over, and
+        # object 2 would land in both.
+        inst = self.INST
+        assert result_or_error(combine_trees, self.EXPECTED, self.FALLBACK, 2, inst) == (
+            "error",
+            self.ERROR,
+        )
+        # The frontier alone does not walk what it hands over.
+        assert find_replaceable(self.EXPECTED, inst, 2) == [(2, 1), (2, 2)]
+        # At trade-off 1 the node over both is handed over whole, which is valid.
+        spliced = combine_trees(self.EXPECTED, self.FALLBACK, 1, inst)
+        assert spliced == self.FALLBACK
+        assert validate_tree(spliced, inst.objects, inst) == []
