@@ -135,12 +135,14 @@ def _splice(
             slot[key], placed = hand_over(node, path_cost, costs)
         if stray is None:
             for s in placed:
-                if s < 0 or not mask >> s & 1:
+                if type(s) is not int or s < 0 or not mask >> s & 1:
                     stray = placed, mask, path
                     break
     if stray:
         placed, mask, path = stray
-        wrong = sorted(s for s in placed if s < 0 or not mask >> s & 1)
+        wrong = [s for s in placed if type(s) is not int or s < 0 or not mask >> s & 1]
+        # By type name first: ids of two types, such as 1 and "2", need not compare.
+        wrong.sort(key=lambda s: (type(s).__name__, s))
         raise ValueError(f"invalid tree: objects {wrong} lie at path {path} but do not take it")
     return root[0], costs, frontier
 

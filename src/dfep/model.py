@@ -603,25 +603,7 @@ def _price(tree: DecisionTree, inst: Instance) -> tuple[dict[int, int], int]:
     """:func:`evaluate` in the integers of ``inst.kernel``, with its checks:
     each object's path cost times ``scale`` in evaluate's order, and the
     expected cost times ``scale * weight_scale``."""
-    costs, n = inst.kernel.costs, inst.num_objects
-    outcomes = frozenset(range(1, inst.num_outcomes + 1))
-    out: dict[int, int] = {}
-    # Pre-order with ascending outcomes, on an explicit stack so that depth
-    # is unbounded; each entry is a node and its path cost.
-    stack: list[tuple[DecisionTree, int]] = [(tree, 0)]
-    while stack:
-        node, acc = stack.pop()
-        if isinstance(node, Leaf):
-            for s in node.objects:
-                if not 0 <= s < n:
-                    raise ValueError(f"tree references unknown object {s}")
-                out[s] = acc
-            continue
-        _check_node(node, inst, outcomes)
-        row = costs[node.test]
-        stack.extend(
-            (node.children[i], acc + row[i - 1]) for i in sorted(node.children, reverse=True)
-        )
+    out = _price_nodes(tree, inst, index=False)[0]
     # Summed after the walk: an object in two leaves counts once, at its last.
     return out, _weighed(out, inst)
 
@@ -719,25 +701,25 @@ _MIXED = object()
 
 
 def _price_nodes(
-    tree: DecisionTree, inst: Instance
+    tree: DecisionTree, inst: Instance, index: bool = True
 ) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
-    """:func:`_price`'s path costs, with its checks and its errors in its
-    order, and, if the tree keeps the sharing rule, each node's object count
-    and path cost times ``scale`` by ``id``; else no nodes.
+    """Each object's path cost times ``scale``, in pre-order with ascending
+    outcomes, after checking each node a pricing walk visits; and, if the
+    tree keeps the sharing rule and ``index`` is set, each node's object
+    count and path cost times ``scale`` by ``id``; else no nodes.
 
-    The rule: every leaf is nonempty and carries the one class of its
-    objects, every internal node has two branches or more and holds two
-    classes or more, and each object answers every branch on the path to
-    its leaf.  Then each branch holds exactly the objects of its node that
-    answer it, so :func:`_restrict` rebuilds a node that all of its objects
-    reach as an equal copy, and may put in the node itself.  ``_price``
-    stays its own walk: ``evaluate`` and the greedy's bound price trees
-    that are never restricted.
+    The rule: every leaf is nonempty, holds int ids and carries the one
+    class of its objects as an int, every internal node has two branches or
+    more and holds two classes or more, and each object answers every
+    branch on the path to its leaf.  Then each branch holds exactly the
+    objects of its node that answer it, so :func:`_restrict` rebuilds a
+    node that all of its objects reach as an equal copy, and may put in the
+    node itself.
     """
     kernel, n = inst.kernel, inst.num_objects
     prices, answers = kernel.costs, kernel.outcome_masks
     outcomes = frozenset(range(1, inst.num_outcomes + 1))
-    labels = dict(zip(sorted(set(inst.classes)), kernel.class_masks))
+    labels = dict(zip(sorted(set(inst.classes)), kernel.class_masks)) if index else {}
     out: dict[int, int] = {}
     nodes: dict[int, tuple[int, int]] = {}
     # Internal nodes in pre-order as [parent position, node, path cost, object
@@ -745,9 +727,10 @@ def _price_nodes(
     # label of the leaves seen below, or _MIXED once two differ or an internal
     # child, which must hold two classes itself, is seen.
     internal: list[list] = [[0, None, 0, 0, None]]
-    keeps = True
-    # As in _price, with the objects that answer every branch on the path and
-    # the parent's position in ``internal``.
+    keeps = index
+    # On an explicit stack so that depth is unbounded; each entry is a node,
+    # its path cost, the objects that answer every branch on the path and the
+    # parent's position in ``internal``.
     stack: list[tuple[DecisionTree, int, int, int]] = [(tree, 0, (1 << n) - 1, 0)]
     while stack:
         node, acc, path, up = stack.pop()
@@ -761,9 +744,11 @@ def _price_nodes(
                 label = node.class_id
                 try:
                     mask = objects_mask(objects)
-                    keeps = mask > 0 and not mask & ~(path & labels.get(label, 0))
-                except TypeError:  # an id or a label that is not an int
-                    keeps = False
+                except TypeError:  # an id that is not an int
+                    mask = 0
+                keeps = (
+                    mask > 0 and type(label) is int and not mask & ~(path & labels.get(label, 0))
+                )
                 nodes[id(node)] = (len(objects), acc)
                 parent = internal[up]
                 parent[3] += len(objects)
@@ -777,10 +762,11 @@ def _price_nodes(
             internal.append([up, node, acc, 0, None])
         position = len(internal) - 1
         stack.extend(
-            (children[i], acc + row[i - 1], path & split[i - 1], position)
+            (children[i], acc + row[i - 1], path & split[i - 1] if keeps else 0, position)
             for i in sorted(children, reverse=True)
         )
-    if not keeps:
+    # A bool id passes ``objects_mask`` but is no int.
+    if not keeps or not set(map(type, out)) <= {int}:
         return out, {}
     # Children before parents: each node's count goes to its parent's.
     for up, node, acc, count, label in reversed(internal[1:]):

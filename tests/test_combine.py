@@ -937,6 +937,9 @@ class TestSharedFallbackNodes:
         "two leaves": Internal(
             0, {1: leaf(0, 0, 1), 2: Internal(1, {1: leaf(1, 2), 2: leaf(1, 2, 3)})}
         ),
+        # A label and an id that only compare equal to the ints a rebuild puts in.
+        "float label": Internal(0, {1: leaf(0, 0, 1), 2: leaf(1.0, 2, 3)}),
+        "bool id": Internal(0, {1: leaf(0, 0, True), 2: leaf(1, 2, 3)}),
     }
 
     @settings(max_examples=200)
@@ -971,6 +974,9 @@ class TestSharedFallbackNodes:
             tree, costs, _ = splice(Fraction(threshold))
             assert costs == _price(tree, inst)[0]
             assert validate_tree(tree, inst.objects, inst) == []
+            for node in tree_nodes(tree):
+                if isinstance(node, Leaf):
+                    assert {type(node.class_id)} | set(map(type, node.objects)) == {int}
             if name in ("one class", "wrong label"):
                 # The recursive reference routes by leaf sets, which these keep.
                 ratio = Fraction(threshold) / evaluate(fallback, inst).worst
@@ -1076,6 +1082,16 @@ class TestObjectsOffTheirPath:
             lambda: find_replaceable(self.EXPECTED, inst, 10),
         ):
             assert result_or_error(call) == ("error", self.ERROR)
+
+    @pytest.mark.parametrize("stray", ["2", 2.0, True])
+    def test_a_copied_leaf_of_an_id_that_is_no_int_is_refused(self, stray):
+        # Only an int names an object; the frontier alone never compares object sets.
+        inst = self.INST
+        tree = Internal(0, {1: leaf(0, 0), 2: Internal(1, {1: leaf(1, 1), 2: leaf(1, stray)})})
+        assert result_or_error(find_replaceable, tree, inst, 10) == (
+            "error",
+            f"invalid tree: objects [{stray!r}] lie at path (2, 2) but do not take it",
+        )
 
     def test_a_hand_over_is_refused(self):
         # At trade-off 2 both leaves below test 1 are handed over, and
