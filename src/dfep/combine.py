@@ -23,15 +23,16 @@ thresholds.  Each splice also returns its objects' path costs, recorded by
 the walk that builds it, so no result is walked again to be ranked or priced.
 
 The walk that prices the fallback also checks one rule: every leaf is
-nonempty and carries the one class of its objects, every internal node has
-two branches or more and holds two classes or more, and each object answers
-every branch on the path to its leaf.  Every tree the greedy, the oracle or
-a splice builds keeps it.  A hand-over then routes the survivors down the
+nonempty, holds int ids and carries the one class of its objects as an int,
+every internal node has two branches or more and holds two classes or more,
+and each object answers every branch on the path to its leaf.  Every tree
+the greedy, the oracle or a splice builds keeps it.  A hand-over then routes the survivors down the
 fallback only as far as the first node that all of its own objects reach,
 and puts that node in as it is: results share subtrees with the fallback,
 so neither tree may be mutated while a result is in use.  A fallback that
 breaks the rule is restricted node by node.  A splice refuses a copied leaf,
-or a hand-over, whose objects do not all take its path.
+or a hand-over, whose objects do not all take its path or whose ids are not
+all ints.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ def _splice(
     A copied leaf's objects go into ``costs`` at its path cost, and
     ``hand_over`` returns the subtree to put in and the objects it places,
     whose costs, counted from ``path_cost``, it has put in ``costs``.  The
-    objects of a copied leaf and those of a hand-over must take its path,
-    answering every branch on it.  The first that do not are refused once
+    objects of a copied leaf and those of a hand-over must be int ids that
+    take its path, answering every branch on it.  The first that do not are refused once
     the walk is done, so that a node the walk cannot take is named first.
     """
     kernel = inst.kernel
@@ -158,7 +159,8 @@ def find_replaceable(
     and form an antichain: no returned node lies below another, and every
     leaf whose path cost reaches the threshold has exactly one returned
     ancestor-or-self.  A leaf above the frontier whose objects do not all
-    take its path is refused; nodes on the frontier are not walked.
+    take its path, or are not all ints, is refused; nodes on the frontier
+    are not walked.
     """
     return _splice(tree, as_fraction(threshold), inst, lambda node, *_: (node, ()))[2]
 
