@@ -22,17 +22,19 @@ the fallback and compares the two trees' object sets once for any number of
 thresholds.  Each splice also returns its objects' path costs, recorded by
 the walk that builds it, so no result is walked again to be ranked or priced.
 
-The walk that prices the fallback also checks one rule: every leaf is
-nonempty, holds int ids and carries the one class of its objects as an int,
-every internal node has two branches or more and holds two classes or more,
-and each object answers every branch on the path to its leaf.  Every tree
-the greedy, the oracle or a splice builds keeps it.  A hand-over then routes the survivors down the
-fallback only as far as the first node that all of its own objects reach,
-and puts that node in as it is: results share subtrees with the fallback,
-so neither tree may be mutated while a result is in use.  A fallback that
-breaks the rule is restricted node by node.  A splice refuses a copied leaf,
-or a hand-over, whose objects do not all take its path or whose ids are not
-all ints.
+The walk that prices the fallback, ``model._price_nodes``, also checks the
+sharing rule stated there, which every tree the greedy, the oracle or a
+splice builds keeps.  A hand-over then puts in, as it is, the first fallback
+node that all of its own objects reach: results share subtrees with the
+fallback, so neither tree may be mutated while a result is in use.  A
+fallback that breaks the rule is restricted node by node.
+
+A splice checks its inputs only as far as it reads them; the CLI validates
+tree files in full.  Of the expected tree it checks each node it copies by
+the pricing walk's node rule, each leaf it copies by the sharing rule's leaf
+test, and that each hand-over's objects take its path.  Of the fallback it
+checks what pricing and restriction read: no leaf may get two classes, nor
+an object a missing branch, and a wrong label is restricted away.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from dfep.model import (
     _check_node,
     _price_nodes,
     _restrict,
+    _strays,
     _weighed,
     as_fraction,
     tree_objects,
@@ -92,20 +95,21 @@ def _splice(
     A copied leaf's objects go into ``costs`` at its path cost, and
     ``hand_over`` returns the subtree to put in and the objects it places,
     whose costs, counted from ``path_cost``, it has put in ``costs``.  The
-    objects of a copied leaf and those of a hand-over must be int ids that
-    take its path, answering every branch on it.  The first that do not are refused once
-    the walk is done, so that a node the walk cannot take is named first.
+    first copied leaf or hand-over that fails its check (see the module
+    docstring) is refused once the walk is done, so that a node the walk
+    cannot take is named first; a leaf's strays are named before its label.
     """
     kernel = inst.kernel
     prices, answers = kernel.costs, kernel.outcome_masks
     outcomes = frozenset(range(1, inst.num_outcomes + 1))
+    labels = dict(zip(sorted(set(inst.classes)), kernel.class_masks))
     # Path costs are integers times ``scale``, so a path reaches the
     # threshold p/q where ``path * q >= p * scale``.
     q, bar = threshold.denominator, threshold.numerator * kernel.scale
     costs: dict[int, int] = {}
     frontier: list[tuple[int, ...]] = []
-    # The first objects placed at a path they do not take, with its mask and the path.
-    stray: tuple | None = None
+    # The first refused placement: its objects, path mask, path and node.
+    fault: tuple | None = None
     # Each entry copies ``node`` into ``slot[key]``; ``mask`` holds the
     # objects that take ``path``, that is, answer every branch on it.
     root: dict[int, DecisionTree] = {}
@@ -116,6 +120,7 @@ def _splice(
             slot[key] = node
             placed = node.objects
             costs.update(dict.fromkeys(placed, path_cost))
+            refused = fault is None and _strays(placed, mask, labels, node.class_id)
         else:
             if path_cost * q < bar:
                 _check_node(node, inst, outcomes)
@@ -134,17 +139,16 @@ def _splice(
                 raise ValueError(f"invalid tree: test {node.test} has no branches")
             frontier.append(path)
             slot[key], placed = hand_over(node, path_cost, costs)
-        if stray is None:
-            for s in placed:
-                if type(s) is not int or s < 0 or not mask >> s & 1:
-                    stray = placed, mask, path
-                    break
-    if stray:
-        placed, mask, path = stray
-        wrong = [s for s in placed if type(s) is not int or s < 0 or not mask >> s & 1]
+            refused = fault is None and _strays(placed, mask)
+        if refused:
+            fault = placed, mask, path, node
+    if fault:
+        placed, mask, path, node = fault
         # By type name first: ids of two types, such as 1 and "2", need not compare.
-        wrong.sort(key=lambda s: (type(s).__name__, s))
-        raise ValueError(f"invalid tree: objects {wrong} lie at path {path} but do not take it")
+        wrong = sorted(_strays(placed, mask), key=lambda s: (type(s).__name__, s))
+        if wrong:
+            raise ValueError(f"invalid tree: objects {wrong} lie at path {path} but do not take it")
+        raise ValueError(f"invalid tree: leaf at path {path} has wrong label {node.class_id!r}")
     return root[0], costs, frontier
 
 
@@ -158,9 +162,8 @@ def find_replaceable(
     path cost is 0).  Returned paths are in pre-order, ascending by outcome,
     and form an antichain: no returned node lies below another, and every
     leaf whose path cost reaches the threshold has exactly one returned
-    ancestor-or-self.  A leaf above the frontier whose objects do not all
-    take its path, or are not all ints, is refused; nodes on the frontier
-    are not walked.
+    ancestor-or-self.  A leaf above the frontier that fails the sharing
+    rule's leaf test is refused; nodes on the frontier are not walked.
     """
     return _splice(tree, as_fraction(threshold), inst, lambda node, *_: (node, ()))[2]
 

@@ -694,10 +694,18 @@ def restrict_tree(tree: DecisionTree, keep: Iterable[int], inst: Instance) -> De
     return _restrict(tree, _check_objects(wanted, inst), inst, 0, {}, ({}, {}))
 
 
-# No node of a tree holds -1 objects.
-_UNSHARED = (-1, 0)
-# The class of a node that holds two classes or more.
-_MIXED = object()
+def _strays(objects: Iterable, path: int, labels: Mapping | None = None, label: Any = None) -> list:
+    """The ids among ``objects`` that are not ints in ``path``, the mask of
+    the objects that answer every branch on a path.  Given ``labels``, each
+    class's mask by label, this is the sharing rule's leaf test of a leaf
+    labeled ``label``: also the ids not of the class an int label names."""
+    if labels is not None:
+        path &= labels.get(label, 0) if type(label) is int else 0
+    wrong = []
+    for s in objects:
+        if type(s) is not int or s < 0 or not path >> s & 1:
+            wrong.append(s)
+    return wrong
 
 
 def _price_nodes(
@@ -708,13 +716,14 @@ def _price_nodes(
     tree keeps the sharing rule and ``index`` is set, each node's object
     count and path cost times ``scale`` by ``id``; else no nodes.
 
-    The rule: every leaf is nonempty, holds int ids and carries the one
-    class of its objects as an int, every internal node has two branches or
-    more and holds two classes or more, and each object answers every
-    branch on the path to its leaf.  Then each branch holds exactly the
-    objects of its node that answer it, so :func:`_restrict` rebuilds a
-    node that all of its objects reach as an equal copy, and may put in the
-    node itself.
+    The sharing rule: each leaf holds ids, one or more, that are ints of the
+    one class that its int label names and answer every branch on its path
+    (the leaf test, :func:`_strays`), and each internal node has two
+    branches or more and holds two classes or more.  Then no object answers
+    the path of a node it is not below, so a node holds exactly the tree's
+    objects that answer its path, and each branch exactly its node's objects
+    that answer it: :func:`_restrict` rebuilds a node that all of its
+    objects reach as an equal copy, and may put in the node itself.
     """
     kernel, n = inst.kernel, inst.num_objects
     prices, answers = kernel.costs, kernel.outcome_masks
@@ -722,18 +731,14 @@ def _price_nodes(
     labels = dict(zip(sorted(set(inst.classes)), kernel.class_masks)) if index else {}
     out: dict[int, int] = {}
     nodes: dict[int, tuple[int, int]] = {}
-    # Internal nodes in pre-order as [parent position, node, path cost, object
-    # count, class], after an entry for the root's parent.  The class is the
-    # label of the leaves seen below, or _MIXED once two differ or an internal
-    # child, which must hold two classes itself, is seen.
-    internal: list[list] = [[0, None, 0, 0, None]]
+    # Internal nodes with their path costs and path masks, while the rule holds.
+    internal: list[tuple[Internal, int, int]] = []
     keeps = index
     # On an explicit stack so that depth is unbounded; each entry is a node,
-    # its path cost, the objects that answer every branch on the path and the
-    # parent's position in ``internal``.
-    stack: list[tuple[DecisionTree, int, int, int]] = [(tree, 0, (1 << n) - 1, 0)]
+    # its path cost and the objects that answer every branch on its path.
+    stack: list[tuple[DecisionTree, int, int]] = [(tree, 0, (1 << n) - 1)]
     while stack:
-        node, acc, path, up = stack.pop()
+        node, acc, path = stack.pop()
         if isinstance(node, Leaf):
             objects = node.objects
             for s in objects:
@@ -741,39 +746,28 @@ def _price_nodes(
                     raise ValueError(f"tree references unknown object {s}")
                 out[s] = acc
             if keeps:
-                label = node.class_id
-                try:
-                    mask = objects_mask(objects)
-                except TypeError:  # an id that is not an int
-                    mask = 0
-                keeps = (
-                    mask > 0 and type(label) is int and not mask & ~(path & labels.get(label, 0))
-                )
+                keeps = bool(objects) and not _strays(objects, path, labels, node.class_id)
                 nodes[id(node)] = (len(objects), acc)
-                parent = internal[up]
-                parent[3] += len(objects)
-                parent[4] = label if parent[4] is None or parent[4] == label else _MIXED
             continue
         _check_node(node, inst, outcomes)
         row, split, children = prices[node.test], answers[node.test], node.children
         if keeps:
             keeps = len(children) >= 2
-            internal[up][4] = _MIXED
-            internal.append([up, node, acc, 0, None])
-        position = len(internal) - 1
+            internal.append((node, acc, path))
         stack.extend(
-            (children[i], acc + row[i - 1], path & split[i - 1] if keeps else 0, position)
+            (children[i], acc + row[i - 1], path & split[i - 1] if keeps else 0)
             for i in sorted(children, reverse=True)
         )
-    # A bool id passes ``objects_mask`` but is no int.
-    if not keeps or not set(map(type, out)) <= {int}:
+    if not keeps:
         return out, {}
-    # Children before parents: each node's count goes to its parent's.
-    for up, node, acc, count, label in reversed(internal[1:]):
-        if label is not _MIXED:
+    # Under the rule the ids are distinct ints below n, so n of them are all objects.
+    held, classes = objects_mask(out) if len(out) < n else (1 << n) - 1, inst.classes
+    for node, acc, path in internal:
+        inner = held & path
+        # A node within the class of its lowest object holds one class.
+        if not inner & ~labels[classes[(inner & -inner).bit_length() - 1]]:
             return out, {}
-        nodes[id(node)] = (count, acc)
-        internal[up][3] += count
+        nodes[id(node)] = (inner.bit_count(), acc)
     return out, nodes
 
 
@@ -791,9 +785,9 @@ def _restrict(
 
     ``shared`` is :func:`_price_nodes` of ``tree``, its path costs and its
     nodes.  A node reached by as many objects as it holds is put in as it
-    is, its objects priced from the tree's path costs: the rule that indexed
-    nodes keep makes it the tree the walk would rebuild.  Pass two empty
-    mappings to rebuild every node."""
+    is, its objects priced from the tree's path costs: the sharing rule,
+    stated at :func:`_price_nodes`, makes it the tree the walk would
+    rebuild.  Pass two empty mappings to rebuild every node."""
     classes, rows, num_tests = inst.classes, inst.outcome_table, inst.num_tests
     prices = inst.kernel.costs
     priced, nodes = shared
@@ -802,7 +796,7 @@ def _restrict(
     stack = [(tree, survivors, base, root, 0)]
     while stack:
         node, alive, cost, slot, key = stack.pop()
-        count, at = nodes.get(id(node), _UNSHARED)
+        count, at = nodes.get(id(node), (-1, 0))  # no node holds -1 objects
         if count == len(alive):
             slot[key] = node
             out.update({s: priced[s] + cost - at for s in alive})

@@ -962,6 +962,33 @@ class TestSharedFallbackNodes:
             # So do splices, which may be fallbacks in turn.
             assert _price_nodes(tree, inst)[1]
 
+    @settings(max_examples=200)
+    @given(splice_cases(), st.data())
+    def test_the_index_holds_each_nodes_count_and_path_cost(self, case, data):
+        inst, members, low_expected, low_worst = case
+        reference = evaluate(low_worst, inst).worst
+        _, splice = _splicer(low_expected, low_worst, inst)
+        ratios = data.draw(
+            st.lists(st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)), max_size=3)
+        )
+        trees = [
+            divide_pairs(members, inst),
+            divide_pairs(members, inst, include_empty_outcomes=False),
+            opt_worst(members, inst).tree,
+            opt_expected(members, inst).tree,
+        ] + [splice(ratio * reference)[0] for ratio in ratios]
+        for tree in trees:
+            index, expected = _price_nodes(tree, inst)[1], {}
+            stack = [(tree, Fraction(0))]
+            while stack:
+                node, cost = stack.pop()
+                expected[id(node)] = (len(tree_objects(node)), cost * inst.kernel.scale)
+                if isinstance(node, Internal):
+                    stack.extend(
+                        (child, cost + inst.cost(node.test, i)) for i, child in node.children.items()
+                    )
+            assert index == expected
+
     @pytest.mark.parametrize("name", sorted(BROKEN))
     def test_fallbacks_outside_the_rule_restrict_as_before(self, name):
         inst, fallback = self.INST, self.BROKEN[name]
@@ -1107,3 +1134,48 @@ class TestObjectsOffTheirPath:
         spliced = combine_trees(self.EXPECTED, self.FALLBACK, 1, inst)
         assert spliced == self.FALLBACK
         assert validate_tree(spliced, inst.objects, inst) == []
+
+
+class TestCopiedLeafLabels:
+    """A splice refuses a copied leaf whose label is not its objects' class
+    as an int; a hand-over relabels."""
+
+    INST = TestSharedFallbackNodes.INST
+    # Objects 0 and 1 are of class 0, but labeled 1.
+    MISLABELED = Internal(0, {1: leaf(1, 0, 1), 2: leaf(1, 2, 3)})
+    VALID = Internal(0, {1: leaf(0, 0, 1), 2: leaf(1, 2, 3)})
+
+    @pytest.mark.parametrize(
+        "tree, path, label",
+        [
+            (MISLABELED, (1,), 1),
+            (Internal(0, {1: leaf(0, 0, 1), 2: leaf(1.0, 2, 3)}), (2,), 1.0),
+            (Internal(0, {1: leaf(0, 0, 1), 2: leaf(True, 2, 3)}), (2,), True),
+        ],
+    )
+    def test_a_copied_leaf_with_a_wrong_label_is_refused(self, tree, path, label):
+        # Every price is 1 and each tree's worst cost is 1, so trade-off 2
+        # and threshold 5 copy the whole tree.
+        inst = self.INST
+        error = ("error", f"invalid tree: leaf at path {path} has wrong label {label!r}")
+        assert result_or_error(combine_trees, tree, tree, 2, inst) == error
+        assert result_or_error(combine_trees, tree, self.VALID, 2, inst) == error
+        assert result_or_error(combine_uniform, tree, self.VALID, 3, inst) == error
+        assert result_or_error(find_replaceable, tree, inst, 5) == error
+
+    def test_objects_off_their_path_are_named_before_the_label(self):
+        # Object 2 answers test 0 with 2, and objects 0 and 1 are not of class 1.
+        inst = self.INST
+        tree = Internal(0, {1: leaf(1, 0, 1, 2), 2: leaf(1, 3)})
+        error = ("error", "invalid tree: objects [2] lie at path (1,) but do not take it")
+        assert result_or_error(combine_trees, tree, self.VALID, 2, inst) == error
+        assert result_or_error(find_replaceable, tree, inst, 5) == error
+
+    def test_a_mislabeled_leaf_past_the_threshold_is_handed_over_and_relabeled(self):
+        # At trade-off 1 both leaves sit at the threshold and are handed over.
+        inst = self.INST
+        assert find_replaceable(self.MISLABELED, inst, 1) == [(1,), (2,)]
+        for fallback in (self.MISLABELED, self.VALID):
+            spliced = combine_trees(self.MISLABELED, fallback, 1, inst)
+            assert spliced == self.VALID
+            assert validate_tree(spliced, inst.objects, inst) == []
